@@ -39,7 +39,6 @@ def _experiments() -> Dict[str, Callable]:
         exp_syscalls,
         exp_transitions,
         exp_webserver,
-        exp_fuzz,
     )
 
     return {

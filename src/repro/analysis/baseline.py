@@ -6,17 +6,16 @@ exceptions*, not for parking unexplained debt.  Entries whose finding
 no longer exists are *stale* and reported as failures, so the baseline
 can only shrink unless a human consciously edits it.
 
-Fingerprint versions.  Version-2 entries use the content-anchored
-formula (rule|path|context|snippet|message) and carry the ``snippet``
-field; version-1 entries predate the snippet and are matched through
-:attr:`Finding.legacy_fingerprint`.  ``--migrate-baseline`` rewrites a
-v1 file in place once the findings it covers have been re-observed.
+Entries use the content-anchored fingerprint
+(rule|path|context|snippet|message) and carry the ``snippet`` field.
+Only files of :data:`BASELINE_VERSION` load; any other version is
+rejected rather than guessed at.
 """
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Set
 
 from repro.analysis.engine import Finding
 
@@ -32,21 +31,17 @@ class BaselineEntry:
     message: str
     reason: str
     snippet: str = ""
-    #: Fingerprint formula this entry was written with (1 = legacy).
-    version: int = BASELINE_VERSION
 
     def as_dict(self) -> dict:
-        payload = {
+        return {
             "fingerprint": self.fingerprint,
             "rule": self.rule,
             "path": self.path,
             "context": self.context,
             "message": self.message,
             "reason": self.reason,
+            "snippet": self.snippet,
         }
-        if self.version >= 2:
-            payload["snippet"] = self.snippet
-        return payload
 
 
 class BaselineError(ValueError):
@@ -58,10 +53,7 @@ class Baseline:
 
     def __init__(self, entries: Iterable[BaselineEntry] = ()):
         self.entries: List[BaselineEntry] = list(entries)
-        self._current = {e.fingerprint for e in self.entries
-                         if e.version >= 2}
-        self._legacy = {e.fingerprint for e in self.entries
-                        if e.version < 2}
+        self._fingerprints = {e.fingerprint for e in self.entries}
 
     @classmethod
     def load(cls, path: Path) -> "Baseline":
@@ -73,7 +65,11 @@ class Baseline:
             raise BaselineError(f"cannot read baseline {path}: {exc}")
         if not isinstance(payload, dict) or "entries" not in payload:
             raise BaselineError(f"baseline {path} lacks an 'entries' list")
-        file_version = int(payload.get("version", 1))
+        version = payload.get("version")
+        if version != BASELINE_VERSION:
+            raise BaselineError(
+                f"baseline {path} has unsupported version {version!r} "
+                f"(expected {BASELINE_VERSION})")
         entries = []
         for raw in payload["entries"]:
             missing = {"fingerprint", "rule", "path", "reason"} - set(raw)
@@ -87,10 +83,6 @@ class Baseline:
                     f"baseline entry {raw['fingerprint']} has an empty "
                     "reason; deliberate exceptions must be justified"
                 )
-            # A v2 file may still carry individual v1 entries that
-            # --migrate-baseline could not match yet (their finding was
-            # not observed during migration); snippet presence decides.
-            entry_version = file_version if "snippet" in raw else 1
             entries.append(BaselineEntry(
                 fingerprint=raw["fingerprint"],
                 rule=raw["rule"],
@@ -99,7 +91,6 @@ class Baseline:
                 message=raw.get("message", ""),
                 reason=raw["reason"],
                 snippet=raw.get("snippet", ""),
-                version=entry_version,
             ))
         return cls(entries)
 
@@ -128,45 +119,9 @@ class Baseline:
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     def covers(self, finding: Finding) -> bool:
-        return (finding.fingerprint in self._current
-                or finding.legacy_fingerprint in self._legacy)
+        return finding.fingerprint in self._fingerprints
 
     def stale_entries(self, seen_fingerprints: Set[str]) -> List[BaselineEntry]:
-        """Entries whose finding no longer occurs anywhere.  The seen
-        set contains both fingerprint versions of every finding, so v1
-        and v2 entries are checked uniformly."""
+        """Entries whose finding no longer occurs anywhere."""
         return [e for e in self.entries
                 if e.fingerprint not in seen_fingerprints]
-
-    def migrate(self, findings: Iterable[Finding]
-                ) -> Tuple["Baseline", List[BaselineEntry]]:
-        """Rewrite v1 entries as v2 using the current findings.
-
-        Returns ``(migrated, unmatched)`` where ``unmatched`` holds the
-        v1 entries whose finding was not observed this run (left in
-        place untouched so a partial run cannot silently drop them).
-        """
-        by_legacy = {}
-        for f in findings:
-            by_legacy.setdefault(f.legacy_fingerprint, f)
-        migrated: List[BaselineEntry] = []
-        unmatched: List[BaselineEntry] = []
-        for entry in self.entries:
-            if entry.version >= 2:
-                migrated.append(entry)
-                continue
-            match = by_legacy.get(entry.fingerprint)
-            if match is None:
-                unmatched.append(entry)
-                migrated.append(entry)
-                continue
-            migrated.append(BaselineEntry(
-                fingerprint=match.fingerprint,
-                rule=match.rule,
-                path=match.path,
-                context=match.context,
-                message=match.message,
-                reason=entry.reason,
-                snippet=match.snippet,
-            ))
-        return Baseline(migrated), unmatched

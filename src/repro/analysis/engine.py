@@ -44,12 +44,6 @@ class Finding:
     message: str
     context: str  # enclosing qualname, e.g. "CloakEngine._encrypt"
     snippet: str = ""  # whitespace-normalized source of the finding line
-    #: Witness chain for interprocedural findings (LOCK001 deadlock
-    #: cycles): one human-readable step per entry, in order.  Rendered
-    #: as a SARIF codeFlow and the JSON "witness" field; deliberately
-    #: excluded from the fingerprint so a cycle rotating through an
-    #: equivalent witness keeps its baseline identity.
-    trace: Tuple[str, ...] = ()
 
     @property
     def fingerprint(self) -> str:
@@ -63,14 +57,6 @@ class Finding:
         """
         raw = "|".join((self.rule, self.path, self.context, self.snippet,
                         self.message))
-        return hashlib.sha256(raw.encode()).hexdigest()[:16]
-
-    @property
-    def legacy_fingerprint(self) -> str:
-        """The v1 (pre-snippet) formula, kept so version-1 baseline
-        entries keep matching until ``--migrate-baseline`` rewrites
-        them."""
-        raw = "|".join((self.rule, self.path, self.context, self.message))
         return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
     def render(self) -> str:
@@ -311,7 +297,6 @@ class Analyzer:
             for rule in self.rules:
                 for finding in rule.check(mod):
                     seen_fingerprints.add(finding.fingerprint)
-                    seen_fingerprints.add(finding.legacy_fingerprint)
                     if mod.is_suppressed(finding.rule, finding.line):
                         report.suppressed.append(finding)
                     elif baseline is not None and baseline.covers(finding):

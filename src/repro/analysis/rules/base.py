@@ -16,8 +16,8 @@ class Rule:
     def check(self, mod: ModuleInfo):
         raise NotImplementedError
 
-    def finding(self, mod: ModuleInfo, node: ast.AST, message: str,
-                trace: tuple = ()) -> Finding:
+    def finding(self, mod: ModuleInfo, node: ast.AST,
+                message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         snippet = ""
         if 1 <= line <= len(mod.lines):
@@ -30,7 +30,6 @@ class Rule:
             message=message,
             context=mod.qualname_at(node),
             snippet=snippet,
-            trace=tuple(trace),
         )
 
 

@@ -39,34 +39,14 @@ def as_sarif(report: Report, rules: Sequence[object]) -> dict:
                 "fullyQualifiedName": finding.context,
             }],
         }
-        result = {
+        results.append({
             "ruleId": finding.rule,
             "ruleIndex": rule_index.get(finding.rule, -1),
             "level": "error",
             "message": {"text": finding.message},
             "locations": [location],
             "partialFingerprints": {FINGERPRINT_KEY: finding.fingerprint},
-        }
-        if finding.trace:
-            # Witness chain (LOCK001 deadlock cycles): each step is a
-            # human-readable acquisition site.  Steps reuse the
-            # finding's physical location — the message text carries
-            # the precise per-step module:function:line — which keeps
-            # the flow renderable in every SARIF viewer without a
-            # second location-resolution pass.
-            result["codeFlows"] = [{
-                "threadFlows": [{
-                    "locations": [
-                        {"location": {
-                            "physicalLocation":
-                                location["physicalLocation"],
-                            "message": {"text": step},
-                        }}
-                        for step in finding.trace
-                    ],
-                }],
-            }]
-        results.append(result)
+        })
     notifications = [
         {"level": "error", "message": {"text": error}}
         for error in report.parse_errors

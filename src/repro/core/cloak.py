@@ -28,7 +28,6 @@ from repro.core.metadata import CloakState, FileMetadataStore, MetadataStore, Pa
 from repro.hw.cycles import CycleAccount, StatCounters
 from repro.hw.faults import AccessKind
 from repro.hw.params import CostTable, PAGE_SIZE
-from repro.hw.sync import reconcile
 from repro.hw.phys import PhysicalMemory
 from repro.obs import bus
 
@@ -83,11 +82,6 @@ class CloakEngine:
 
     # -- application-side transitions ----------------------------------------
 
-    @reconcile("md", why="the returned PageMetadata is the store's own "
-               "record, shared with the VMM fill path on purpose: state "
-               "transitions performed here (decrypt, dirty-upgrade) must be "
-               "visible to every holder immediately.  SMP serialises on the "
-               "per-page record via the metadata store, not by copying.")
     def resolve_app_access(
         self,
         domain: ProtectionDomain,

@@ -19,7 +19,6 @@ from repro.hw.cycles import CycleAccount
 from repro.hw.faults import AccessKind, GeneralProtectionFault, PageFault, PageFaultReason
 from repro.hw.params import CostTable, PAGE_SHIFT, PAGE_SIZE
 from repro.hw.phys import PhysicalMemory
-from repro.hw.sync import reconcile
 from repro.hw.tlb import SoftwareTLB, TLBEntry
 from repro.obs import bus
 
@@ -98,11 +97,6 @@ class MMU:
         entry = self._translate_page(vaddr >> PAGE_SHIFT, vaddr, access)
         return (entry.pfn << PAGE_SHIFT) | (vaddr & (PAGE_SIZE - 1))
 
-    @reconcile("entry", why="the TLB and the VMM's shadow cache share one "
-               "TLBEntry record on purpose: a dirty-bit upgrade through "
-               "either reference must be visible to both, exactly like a "
-               "hardware TLB caching the shadow PTE.  A per-CPU TLB split "
-               "reconciles via shootdown (tlb.invalidate), never by copying.")
     def _translate_page(self, vpn: int, vaddr: int, access: AccessKind) -> TLBEntry:
         if self._authority is None:
             raise RuntimeError("MMU has no translation authority attached")

@@ -80,9 +80,11 @@ PROBES: Dict[str, Tuple[str, ...]] = {
     "swap.out": ("asid", "vpn", "gpfn"),
     "swap.in": ("asid", "vpn", "gpfn"),
     "sched.slice": ("pid",),
-    # hw/sync: virtual lock ownership changes and guarded accesses to
-    # declared shared state ("state" is the SMP001 inventory key).
-    # The lockset sanitizer replays these Eraser-style.
+    # core/crypto: one acquire/access/release bracket per lookup in a
+    # process-wide key-material memo ("state" names the memo; the
+    # machine has one CPU, so "cpu" is always 0).  The names predate
+    # the memos losing their lock and are kept because committed
+    # fuzz-campaign report digests include the observed probe kinds.
     "sync.acquire": ("lock", "cpu"),
     "sync.release": ("lock", "cpu"),
     "sync.access": ("state", "cpu"),

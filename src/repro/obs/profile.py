@@ -14,8 +14,7 @@ overhead argument is phrased in::
 and renders it as a text flame summary.  Attached to the probe bus it
 additionally collects every cloak transition, yielding the per-page
 *thrash report*: which (domain, vpn) pairs ping-pong between the
-application and system views — the list the old ``repro.trace.Tracer``
-existed to produce.
+application and system views.
 
 The profiler is a pure observer: it charges nothing, mutates nothing,
 and two identical runs produce identical reports.
@@ -42,7 +41,7 @@ COMPONENT_TREE: Dict[str, Dict[str, Tuple[str, ...]]] = {
     },
 }
 
-#: Probe name -> the Tracer-era transition kind label.
+#: Probe name -> transition kind label.
 TRANSITION_KINDS: Dict[str, str] = {
     "cloak.zero_fill": "zero-fill",
     "cloak.decrypt": "decrypt",

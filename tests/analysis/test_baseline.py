@@ -73,10 +73,19 @@ def test_missing_file_is_empty_baseline(tmp_path):
 
 def test_entry_without_reason_is_rejected(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 1, "entries": [{
+    path.write_text(json.dumps({"version": 2, "entries": [{
         "fingerprint": "abc", "rule": "DET001",
         "path": "x.py", "reason": "   "}]}))
     with pytest.raises(BaselineError, match="justified"):
+        Baseline.load(path)
+
+
+def test_unsupported_version_is_rejected(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({"version": 1, "entries": [{
+        "fingerprint": "abc", "rule": "DET001",
+        "path": "x.py", "reason": "grandfathered"}]}))
+    with pytest.raises(BaselineError, match="version 1"):
         Baseline.load(path)
 
 

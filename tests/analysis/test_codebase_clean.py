@@ -43,9 +43,9 @@ def test_codebase_is_clean():
 
 def test_all_registered_rules_ran():
     assert sorted(r.rule_id for r in ALL_RULES) == [
-        "API001", "ATOM001", "CYC001", "DET001", "ERR001", "LOCK001",
-        "MMU001", "OBS001", "PERF001", "PERF002", "RACE001", "SEC001",
-        "SEC002", "SEC003", "SMP001", "STATE001", "SUP001", "TB001",
+        "API001", "CYC001", "DET001", "ERR001", "MMU001", "OBS001",
+        "PERF001", "PERF002", "SEC001", "SEC002", "SEC003", "STATE001",
+        "SUP001", "TB001",
     ]
 
 

@@ -53,47 +53,6 @@ def test_sarif_shape_on_findings(tmp_path):
     assert invocation["executionSuccessful"] is False
 
 
-def test_sarif_lock_cycle_carries_code_flow(tmp_path):
-    """A LOCK001 finding's witness chain becomes a SARIF codeFlow with
-    one threadFlow location per acquisition step."""
-    pkg = tmp_path / "repro" / "core"
-    pkg.mkdir(parents=True)
-    (pkg / "locks.py").write_text(
-        "from repro.hw.sync import VLock\n"
-        "\n"
-        "_a = VLock(\"order.a\")\n"
-        "_b = VLock(\"order.b\")\n"
-        "\n"
-        "def forwards():\n"
-        "    with _a:\n"
-        "        with _b:\n"
-        "            pass\n"
-        "\n"
-        "def backwards():\n"
-        "    with _b:\n"
-        "        with _a:\n"
-        "            pass\n")
-    code, doc = run_sarif([str(tmp_path), "--no-baseline"])
-    assert code == 1
-    results = [r for r in doc["runs"][0]["results"]
-               if r["ruleId"] == "LOCK001"]
-    assert len(results) == 1
-    flows = results[0]["codeFlows"]
-    assert len(flows) == 1
-    steps = flows[0]["threadFlows"][0]["locations"]
-    assert len(steps) == 2
-    for step in steps:
-        assert step["location"]["message"]["text"]
-        assert step["location"]["physicalLocation"]["artifactLocation"][
-            "uri"].endswith("locks.py")
-    # Single-site findings carry no codeFlows key at all.
-    det = make_dirty(tmp_path)
-    code, doc = run_sarif([str(det), "--no-baseline"])
-    single = [r for r in doc["runs"][0]["results"]
-              if r["ruleId"] == "DET001"]
-    assert single and "codeFlows" not in single[0]
-
-
 def test_sarif_clean_run(tmp_path):
     (tmp_path / "repro").mkdir()
     (tmp_path / "repro" / "ok.py").write_text("x = 1\n")

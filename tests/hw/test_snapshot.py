@@ -10,8 +10,8 @@ Three groups of guarantees:
   arms would have fired inside the captured boot window is rejected
   rather than silently rescheduled; the pickle fast path and the
   deepcopy fallback produce behaviourally identical machines.
-* **inventory** — every shared-mutable-state item in
-  ``docs/SMP_READINESS.md`` has an explicit snapshot disposition.
+* **inventory** — every piece of process-wide mutable state in
+  ``repro.hw``/``repro.core`` has an explicit snapshot disposition.
 
 The full restored-vs-fresh equivalence property (every registered
 program, native and cloaked) lives in
@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.shared_state import shared_state_keys
 from repro.bench.runner import fresh_machine, measure_program
 from repro.faults.plan import (FaultPlan, SITE_DISK_WRITE_LOST,
                                SITE_IV_REUSE)
@@ -36,6 +37,12 @@ from repro.obs.metrics import MetricsRegistry
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 PATTERN = (bytes(range(256)) * (PAGE_SIZE // 256))[:PAGE_SIZE]
+
+
+def _write(root: Path, relpath: str, source: str) -> None:
+    path = root / relpath
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source, encoding="utf-8")
 
 
 def _cow_memory():
@@ -311,22 +318,32 @@ class TestSnapshotProbes:
         assert metrics.counters["snapshot.restore"] == 1
 
 
-# -- SMP-inventory cross-check -------------------------------------------
+# -- shared-state inventory cross-check -----------------------------------
 
 
 class TestInventory:
     def test_committed_inventory_is_fully_classified(self):
-        text = (REPO_ROOT / "docs" / "SMP_READINESS.md") \
-            .read_text(encoding="utf-8")
-        assert snapshot_mod.check_inventory(text) == []
+        keys = shared_state_keys(REPO_ROOT / "src")
+        assert snapshot_mod.check_inventory(keys) == []
 
-    def test_new_inventory_item_without_disposition_is_reported(self):
-        text = "- `repro.core.example:_new_cache` — fresh shared state\n"
-        problems = snapshot_mod.check_inventory(text)
+    def test_new_inventory_item_without_disposition_is_reported(
+            self, tmp_path):
+        _write(tmp_path, "repro/core/example.py", "_new_cache = {}\n")
+        problems = snapshot_mod.check_inventory(shared_state_keys(tmp_path))
         assert any("repro.core.example:_new_cache" in p
                    and "no snapshot disposition" in p for p in problems)
 
+    def test_new_class_attribute_without_disposition_is_reported(
+            self, tmp_path):
+        _write(tmp_path, "repro/hw/example.py",
+               "class Widget:\n    registry = []\n    LIMITS = {}\n")
+        keys = shared_state_keys(tmp_path)
+        assert keys == {"repro.hw.example:Widget.registry"}
+        problems = snapshot_mod.check_inventory(keys)
+        assert any("repro.hw.example:Widget.registry" in p
+                   and "no snapshot disposition" in p for p in problems)
+
     def test_stale_disposition_is_reported(self):
-        problems = snapshot_mod.check_inventory("")
-        assert problems, "dispositions with no inventory must be flagged"
+        problems = snapshot_mod.check_inventory(set())
+        assert problems, "dispositions with no shared state must be flagged"
         assert all("stale" in p for p in problems)

@@ -9,17 +9,13 @@ to a fresh boot, restored in O(dirty pages)); non-default shapes boot
 from scratch.
 """
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.apps.registry import make_secure_dirs, register_all
 from repro.core.vmm import VMMConfig
 from repro.hw import snapshot as snapshot_mod
 from repro.hw.params import MachineParams
 from repro.machine import Machine, ProcessResult
-
-#: Golden boot snapshots for default-shaped machines, keyed by
-#: (cloaked, registered-program tuple).
-_GOLDEN_SNAPSHOTS: Dict[Tuple, snapshot_mod.SnapshotState] = {}
 
 
 def fresh_machine(cloaked: bool = False,
@@ -33,11 +29,9 @@ def fresh_machine(cloaked: bool = False,
     """
     if (vmm_config is None and params is None
             and snapshot_mod.snapshots_enabled()):
-        key = (cloaked, programs)
-        golden = _GOLDEN_SNAPSHOTS.get(key)
-        if golden is None:
-            golden = _boot(cloaked, None, None, programs).snapshot()
-            _GOLDEN_SNAPSHOTS[key] = golden
+        golden = snapshot_mod.golden(
+            (__name__, cloaked, programs),
+            lambda: _boot(cloaked, None, None, programs))
         return Machine.from_snapshot(golden)
     return _boot(cloaked, vmm_config, params, programs)
 

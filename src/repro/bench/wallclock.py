@@ -266,6 +266,12 @@ def check_against(report: Dict, committed_path: str,
     return problems
 
 
+_USAGE = ("usage: python -m repro wallclock [--warmup N] "
+          "[--repeats N] [--out PATH | --no-write] "
+          "[--check PATH] [--seconds-tolerance PCT] "
+          "[--workloads a,b,...]")
+
+
 def main(argv: List[str]) -> int:
     """``python -m repro wallclock`` entry point."""
     warmup, repeats = 1, 3
@@ -274,30 +280,33 @@ def main(argv: List[str]) -> int:
     seconds_tolerance: Optional[float] = None
     only: List[str] = []
     i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--warmup":
-            warmup = int(argv[i + 1]); i += 2
-        elif arg == "--repeats":
-            repeats = int(argv[i + 1]); i += 2
-        elif arg == "--out":
-            out = argv[i + 1]; i += 2
-        elif arg == "--no-write":
-            out = None; i += 1
-        elif arg == "--check":
-            check = argv[i + 1]; i += 2
-        elif arg == "--seconds-tolerance":
-            seconds_tolerance = float(argv[i + 1]); i += 2
-        elif arg == "--workloads":
-            only = [w.strip() for w in argv[i + 1].split(",") if w.strip()]
-            i += 2
-        else:
-            print(f"unknown wallclock option: {arg}")
-            print("usage: python -m repro wallclock [--warmup N] "
-                  "[--repeats N] [--out PATH | --no-write] "
-                  "[--check PATH] [--seconds-tolerance PCT] "
-                  "[--workloads a,b,...]")
-            return 2
+    try:
+        while i < len(argv):
+            arg = argv[i]
+            if arg == "--warmup":
+                warmup = int(argv[i + 1]); i += 2
+            elif arg == "--repeats":
+                repeats = int(argv[i + 1]); i += 2
+            elif arg == "--out":
+                out = argv[i + 1]; i += 2
+            elif arg == "--no-write":
+                out = None; i += 1
+            elif arg == "--check":
+                check = argv[i + 1]; i += 2
+            elif arg == "--seconds-tolerance":
+                seconds_tolerance = float(argv[i + 1]); i += 2
+            elif arg == "--workloads":
+                only = [w.strip() for w in argv[i + 1].split(",")
+                        if w.strip()]
+                i += 2
+            else:
+                print(f"unknown wallclock option: {arg}")
+                print(_USAGE)
+                return 2
+    except (IndexError, ValueError):
+        print(f"wallclock option {arg} needs a valid value")
+        print(_USAGE)
+        return 2
     unknown = [name for name in only if name not in WORKLOADS]
     if unknown:
         print(f"unknown workload(s): {', '.join(unknown)} "

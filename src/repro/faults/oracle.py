@@ -33,6 +33,7 @@ The invariant the subsystem exists to demonstrate: every matrix row is
 Overshadow promises privacy and integrity, never progress.
 """
 
+import functools
 import hashlib
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -291,27 +292,13 @@ def _marker_visible(machine: Machine, marker: bytes) -> bool:
     return False
 
 
-#: Golden boot snapshots, keyed by everything that shapes a boot:
-#: (cloaked, params factory, planned-ness, full-vs-gen registry, setup
-#: hook).  One boot per distinct configuration; every subsequent
-#: run_once restores in O(dirty pages) instead of re-booting — this is
-#: the single change that took the faults-oracle wall clock down ≥5×.
-_GOLDEN_SNAPSHOTS: Dict[tuple, snapshot_mod.SnapshotState] = {}
-
-
-def clear_snapshot_cache() -> None:
-    """Drop the golden boot snapshots.
-
-    Tests that monkeypatch engine internals at module scope (so a
-    cached boot image would bake the patch in — or miss it) call this
-    around the patched region.
-    """
-    _GOLDEN_SNAPSHOTS.clear()
-
-
 def _fresh_boot(spec: AppSpec, cloaked: bool, plan: Optional[FaultPlan],
-                tweak: Optional[Callable[[Machine], None]]) -> Machine:
-    """Legacy boot path: build and provision a machine from scratch."""
+                tweak: Optional[Callable[[Machine], None]],
+                audit: bool = False) -> Machine:
+    """Legacy boot path: build and provision a machine from scratch
+    (under a new all-site audit plan instead of ``plan`` if ``audit``)."""
+    if audit:
+        plan = FaultPlan.audit(0)
     params = spec.params() if spec.params is not None else None
     machine = Machine(params=params, fault_plan=plan)
     if tweak is not None:
@@ -343,17 +330,18 @@ def _booted_machine(spec: AppSpec, cloaked: bool, plan: Optional[FaultPlan],
     """
     if not snapshot_mod.snapshots_enabled():
         return _fresh_boot(spec, cloaked, plan, tweak)
-    key = (cloaked, spec.params, plan is not None,
-           spec.program is None, spec.setup)
-    golden = _GOLDEN_SNAPSHOTS.get(key)
-    if golden is None:
-        # Golden boots never see the caller's plan or tweak: planned
-        # goldens boot under an all-site audit plan (never fires, but
-        # records per-site boot opportunity counts so restore can
-        # fast-forward any caller plan over the boot window).
-        boot_plan = FaultPlan.audit(0) if plan is not None else None
-        golden = _fresh_boot(spec, cloaked, boot_plan, None).snapshot()
-        _GOLDEN_SNAPSHOTS[key] = golden
+    # One golden boot per distinct boot shape: every subsequent run_once
+    # restores in O(dirty pages) instead of re-booting — the single
+    # change that took the faults-oracle wall clock down ≥5×.  Golden
+    # boots never see the caller's plan or tweak: planned goldens boot
+    # under an all-site audit plan (never fires, but records per-site
+    # boot opportunity counts so restore can fast-forward any caller
+    # plan over the boot window).
+    planned = plan is not None
+    golden = snapshot_mod.golden(
+        (__name__, cloaked, spec.params, planned,
+         spec.program is None, spec.setup),
+        functools.partial(_fresh_boot, spec, cloaked, None, None, planned))
     try:
         machine = Machine.from_snapshot(golden, fault_plan=plan)
     except snapshot_mod.SnapshotUnusable:

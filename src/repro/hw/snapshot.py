@@ -5,7 +5,7 @@ forks a VM: guest-physical memory is captured **once** as immutable
 per-frame ``bytes`` shared by every restore (COW — see
 :class:`repro.hw.phys.PhysicalMemory`), and the small mutable state
 (allocator free lists, pagetables/TLB, cloak metadata, ramfs,
-scheduler, RNG streams, the cycle ledger) is deep-copied per restore.
+scheduler, RNG streams, the cycle ledger) is unpickled per restore.
 A restored machine is therefore *architecturally indistinguishable*
 from the machine that was captured — same cycle total, same register
 file, same free-list order, same fault-plan substream positions — so
@@ -24,10 +24,13 @@ What is shared vs. copied (module-scope state is inventoried in
   inputs).
 * **copied** — everything reachable from the machine object graph:
   kernel, VMM, MMU/TLB, CPU, allocator, disk, cycle ledger, fault
-  plan.  One ``copy.deepcopy`` with a seeded memo guarantees interior
+  plan.  Capture pickles the live machine once into an immutable
+  blob; every restore unpickles it.  Pickle's memo preserves interior
   aliasing (e.g. the TLB entry a translation returned, the metadata
-  record two cloak paths share) is *preserved inside* a restore and
-  never leaks *across* restores.
+  record two cloak paths share) *inside* a restore, and the blob is
+  bytes, so nothing mutable is shared *across* restores or with the
+  source machine.  A machine that cannot be pickled cannot be
+  captured (:class:`SnapshotError`).
 
 Restrictions, by construction:
 
@@ -45,38 +48,35 @@ Restrictions, by construction:
   (:class:`SnapshotUnusable`) and the caller falls back to a fresh
   boot — never a silently different fault schedule.
 
-Kill switch: ``REPRO_NO_SNAPSHOT=1`` in the environment, or the
-:func:`force_fresh` context manager, makes :func:`snapshots_enabled`
-return False; the snapshot-aware hot loops (faults oracle, campaign
-driver, benchmarks) consult it and boot fresh machines instead.
+Golden boots: :func:`golden` is the one process-wide boot cache.
+Harnesses (faults oracle, microbench runner, cluster shards) ask it
+for a snapshot by key and restore per run; fork-context workers
+inherit it.  The :func:`force_fresh` context manager makes
+:func:`snapshots_enabled` return False, and those harnesses then boot
+fresh machines instead — the reference the determinism checks compare
+restores against.
 """
 
-import copy
 import enum
 import io
-import os
 import pickle
 import random
 from contextlib import contextmanager
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, List
 
 from repro.hw.phys import BaseFrames, PhysicalMemory
 from repro.obs import bus
 
-#: Bump on any change to what a snapshot carries.
-SNAPSHOT_SCHEMA = 1
-
 #: Process states a capturable machine may contain (quiescence).
 _QUIESCENT_STATES = frozenset({"ZOMBIE", "DEAD"})
-
-_DISABLE_ENV = "REPRO_NO_SNAPSHOT"
 
 #: Session-level kill switch (see :func:`force_fresh`).
 _enabled = True
 
 
 class SnapshotError(RuntimeError):
-    """The machine cannot be captured (not quiescent, live runtimes)."""
+    """The machine cannot be captured (not quiescent, live runtimes,
+    or an object graph that cannot be pickled)."""
 
 
 class SnapshotUnusable(SnapshotError):
@@ -86,8 +86,8 @@ class SnapshotUnusable(SnapshotError):
 
 
 def snapshots_enabled() -> bool:
-    """False when snapshot reuse is disabled for this session/env."""
-    return _enabled and not os.environ.get(_DISABLE_ENV)
+    """False inside :func:`force_fresh`."""
+    return _enabled
 
 
 @contextmanager
@@ -115,9 +115,6 @@ class _InertRuntime:
     snapshot-layer bug, reported as such.
     """
 
-    def __deepcopy__(self, memo) -> "_InertRuntime":
-        return self
-
     def next_op(self, result):
         raise SnapshotError("resumed the runtime of an exited process "
                             "after a snapshot restore")
@@ -131,12 +128,11 @@ class _SnapPickler(pickle.Pickler):
     """Pickler that externalises the snapshot's shared objects.
 
     Objects tagged in ``pids`` (the physical memory, frozen params and
-    cost tables, runtime tombstones, registry entries — whose runtime
+    cost tables, exited runtimes, registry entries — whose runtime
     factories are closures and could not be pickled anyway) are written
-    as persistent references; :class:`_SnapUnpickler` swaps in the
-    per-restore replacements.  Everything else round-trips through
-    pickle's C implementation, which preserves interior aliasing the
-    same way a deepcopy memo does at a fraction of the cost.
+    as persistent references; :meth:`SnapshotState.restore` swaps in
+    the per-restore replacements.  Everything else round-trips through
+    pickle's C implementation, whose memo preserves interior aliasing.
     """
 
     def __init__(self, file, pids: Dict[int, tuple],
@@ -156,26 +152,8 @@ class _SnapPickler(pickle.Pickler):
         return pid
 
 
-class _SnapUnpickler(pickle.Unpickler):
-    def __init__(self, file, resolve: Dict[tuple, Any],
-                 fresh: Dict[str, tuple]):
-        super().__init__(file)
-        self._resolve = resolve
-        self._fresh = fresh
-
-    def persistent_load(self, pid):
-        if pid[0] == "list":
-            # Bulk flat list (allocator/block free lists, disk blocks):
-            # one C-speed copy of an immutable template instead of
-            # element-by-element unpickling.  Only non-aliased private
-            # attributes are tagged this way (a second reference would
-            # get a second copy).
-            return list(self._fresh[pid[1]])
-        return self._resolve[pid]
-
-
 class SnapshotState:
-    """One captured machine: shared frozen frames + a private image.
+    """One captured machine: shared frozen frames + a pickled image.
 
     Build with :func:`capture`; clone machines with :meth:`restore`.
     The object is immutable from the caller's point of view — any
@@ -183,72 +161,69 @@ class SnapshotState:
     the single-thread sense (restores share only immutable state).
     """
 
-    __slots__ = ("schema", "base", "frames_captured", "procs", "planned",
+    __slots__ = ("base", "frames_captured", "procs", "planned",
                  "capture_armed", "boot_opportunities", "boot_fires",
-                 "_image", "_blob", "_shared", "_fresh")
+                 "_blob", "_shared", "_fresh")
 
-    def __init__(self, base: BaseFrames, image, procs: int, planned: bool,
-                 capture_armed: FrozenSet[str],
-                 boot_opportunities: Dict[str, int], boot_fires: int):
-        self.schema = SNAPSHOT_SCHEMA
+    def __init__(self, machine, base: BaseFrames):
+        plan = machine.faults
         self.base = base
         self.frames_captured = sum(1 for b in base if b is not None)
-        self.procs = procs
-        self.planned = planned
-        self.capture_armed = capture_armed
-        self.boot_opportunities = boot_opportunities
-        self.boot_fires = boot_fires
-        self._image = image
-        self._blob: Optional[bytes] = None
-        self._shared: Dict[tuple, Any] = {}
-        self._fresh: Dict[str, tuple] = {}
-        self._serialize()
+        self.procs = len(machine.kernel.processes)
+        self.planned = plan is not None
+        self.capture_armed: FrozenSet[str] = (
+            frozenset(plan._arms) if plan is not None else frozenset())
+        self.boot_opportunities: Dict[str, int] = (
+            dict(plan._opportunities) if plan is not None else {})
+        self.boot_fires = plan.total_fires() if plan is not None else 0
+        self._serialize(machine)
 
-    def _serialize(self) -> None:
-        """Pre-pickle the image so each restore is one C-speed
-        ``loads`` instead of a Python-level deepcopy walk.
+    def _serialize(self, machine) -> None:
+        """Pickle the live ``machine`` into the restore blob, so each
+        restore is one C-speed ``loads``.
 
         Shared/per-restore objects become persistent references:
         the COW physical memory (fresh :meth:`PhysicalMemory.from_base`
-        per restore), the frozen params/costs, the runtime tombstones
-        and registry entries (shared), and the fault plan (rebound to
-        the caller's plan).  Machines whose object graph cannot be
-        pickled fall back to the deepcopy path transparently.
+        per restore), the frozen params/costs, the registry entries,
+        one shared :class:`_InertRuntime` standing in for every exited
+        process's runtime, and the fault plan (rebound to the caller's
+        plan).  The blob is bytes, so it shares nothing mutable with
+        the source machine, which stays usable.  Raises
+        :class:`SnapshotError` if the object graph cannot be pickled.
         """
-        image = self._image
         shared: Dict[tuple, Any] = {
-            ("params",): image.params,
-            ("costs",): image.params.costs,
+            ("params",): machine.params,
+            ("costs",): machine.params.costs,
+            ("inert",): _InertRuntime(),
         }
-        for name, entry in image.kernel._registry.items():
+        for name, entry in machine.kernel._registry.items():
             shared[("registry", name)] = entry
-        for pid, proc in image.kernel.processes.items():
-            shared[("runtime", pid)] = proc.runtime
         pids = {id(obj): tag for tag, obj in shared.items()}
-        pids[id(image.phys)] = ("phys",)
-        if image.faults is not None:
-            pids[id(image.faults)] = ("plan",)
-        # Large flat lists restore as one C-speed copy of a frozen
-        # template (entries are ints or immutable bytes).  These are
-        # private, non-aliased attributes — see _SnapUnpickler.
+        for proc in machine.kernel.processes.values():
+            pids[id(proc.runtime)] = ("inert",)
+        pids[id(machine.phys)] = ("phys",)
+        if machine.faults is not None:
+            pids[id(machine.faults)] = ("plan",)
+        # Large flat lists (allocator/block free lists, disk blocks)
+        # restore as one C-speed copy of a frozen template instead of
+        # element-by-element unpickling.  Only private, non-aliased
+        # attributes are tagged this way: each restore gets exactly one
+        # copy per tag, so a second reference would alias it.
         fresh = {
-            "alloc._free": image.alloc._free,
-            "cache._free": image.kernel.cache._free,
-            "disk._blocks": image.disk._blocks,
+            "alloc._free": machine.alloc._free,
+            "cache._free": machine.kernel.cache._free,
+            "disk._blocks": machine.disk._blocks,
         }
         for tag, lst in fresh.items():
             pids[id(lst)] = ("list", tag)
         buf = io.BytesIO()
         dynamic: Dict[tuple, Any] = {}
         try:
-            _SnapPickler(buf, pids, dynamic).dump(image)
-        # repro: allow(ERR001) — serialization probe, not a guard: any
-        # failure (unpicklable test double, exotic machine extension)
-        # just leaves _blob unset and restore() takes the deepcopy
-        # path, which is behaviourally identical.  Nothing security-
-        # relevant executes during pickling.
-        except Exception:
-            return
+            _SnapPickler(buf, pids, dynamic).dump(machine)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise SnapshotError(
+                f"cannot snapshot: the machine's object graph cannot be "
+                f"pickled ({exc})") from exc
         shared.update(dynamic)
         self._blob = buf.getvalue()
         self._shared = shared
@@ -266,7 +241,6 @@ class SnapshotState:
         window (see module docstring).  Raises
         :class:`SnapshotUnusable` when that cannot be done faithfully.
         """
-        image = self._image
         if self.planned != (plan is not None):
             raise SnapshotUnusable(
                 "snapshot captured %s a fault plan; restore requested %s one"
@@ -274,23 +248,14 @@ class SnapshotState:
                    "under" if plan is not None else "without"))
         if plan is not None:
             self._check_plan(plan)
-        if self._blob is not None:
-            resolve = dict(self._shared)
-            resolve[("phys",)] = PhysicalMemory.from_base(self.base)
-            resolve[("plan",)] = plan
-            machine = _SnapUnpickler(io.BytesIO(self._blob),
-                                     resolve, self._fresh).load()
-        else:
-            memo = {
-                id(image.phys): PhysicalMemory.from_base(self.base),
-                # Frozen-dataclass machine parameters and cost tables
-                # are immutable: share them instead of reconstructing.
-                id(image.params): image.params,
-                id(image.params.costs): image.params.costs,
-            }
-            if plan is not None:
-                memo[id(image.faults)] = plan
-            machine = copy.deepcopy(image, memo)
+        resolve = dict(self._shared)
+        resolve[("phys",)] = PhysicalMemory.from_base(self.base)
+        resolve[("plan",)] = plan
+        for tag, template in self._fresh.items():
+            resolve[("list", tag)] = list(template)
+        unpickler = pickle.Unpickler(io.BytesIO(self._blob))
+        unpickler.persistent_load = resolve.__getitem__
+        machine = unpickler.load()
         if plan is not None:
             self._seed_plan(plan)
         if bus.ACTIVE:
@@ -352,28 +317,12 @@ def capture(machine) -> SnapshotState:
     """Snapshot a quiescent machine (see module docstring).
 
     The source machine remains usable — its frame contents are frozen
-    by value — but the cheap pattern is boot → capture → discard, then
-    :meth:`SnapshotState.restore` per run.
+    by value and the image is pickled — but the cheap pattern is
+    boot → capture → discard, then :meth:`SnapshotState.restore` per
+    run.
     """
     _check_quiescent(machine)
-    base = machine.phys.freeze_base()
-    plan = machine.faults
-    memo: dict = {id(machine.phys): PhysicalMemory.from_base(base)}
-    inert = _InertRuntime()
-    for proc in machine.kernel.processes.values():
-        memo[id(proc.runtime)] = inert
-    image = copy.deepcopy(machine, memo)
-    snapshot = SnapshotState(
-        base=base,
-        image=image,
-        procs=len(machine.kernel.processes),
-        planned=plan is not None,
-        capture_armed=(frozenset(plan._arms) if plan is not None
-                       else frozenset()),
-        boot_opportunities=(dict(plan._opportunities) if plan is not None
-                            else {}),
-        boot_fires=plan.total_fires() if plan is not None else 0,
-    )
+    snapshot = SnapshotState(machine, machine.phys.freeze_base())
     if bus.ACTIVE:
         bus.snapshot_capture(snapshot.frames_captured, snapshot.procs)
     return snapshot
@@ -393,41 +342,39 @@ def _check_quiescent(machine) -> None:
 
 
 # ---------------------------------------------------------------------------
-# cross-process publication (fork inheritance)
+# the golden-boot cache
 # ---------------------------------------------------------------------------
 
-#: Snapshots published for fork-context workers, by caller-chosen key.
-_published: Dict[str, SnapshotState] = {}
+#: Golden boot snapshots, by caller-chosen key (first element: the
+#: calling module's name, so harnesses cannot collide).
+_golden: Dict[Hashable, SnapshotState] = {}
 
 
-def publish(key: str, snapshot: SnapshotState) -> None:
-    """Make ``snapshot`` available to forked worker processes.
+def golden(key: Hashable, boot: Callable[[], Any]) -> SnapshotState:
+    """The golden snapshot for ``key``, booting it on first use.
 
-    A :class:`SnapshotState` cannot cross a pickling process boundary
-    (the kernel registry's runtime factories are closures), but it
-    *can* ride POSIX fork inheritance: a parent that captures and
-    publishes before forking hands every ``multiprocessing`` "fork"
-    worker a copy-on-write view of this registry for free.  The
-    cluster harness (:mod:`repro.serve.cluster`) publishes one boot
-    snapshot per (app, cloaked) pair, forks its shard workers, and
-    each worker restores from the inherited snapshot — one boot,
-    N machines, zero serialization.
+    ``boot()`` returns a freshly booted, quiescent machine; it runs
+    once per key and is captured through :func:`capture`.  Later calls
+    return the same :class:`SnapshotState`, so each harness boots once
+    per configuration and restores per run.
 
-    Re-publishing a key replaces the previous snapshot (parents reuse
-    keys across runs).
+    A snapshot cannot cross a pickling process boundary (the kernel
+    registry's runtime factories are closures), but the cache rides
+    POSIX fork inheritance: a parent that fills a key before forking
+    hands every ``multiprocessing`` "fork" worker a copy-on-write view
+    of it.  The cluster harness (:mod:`repro.serve.cluster`) does this
+    for its shard workers — one boot, N machines, zero serialization.
     """
-    _published[key] = snapshot
+    snapshot = _golden.get(key)
+    if snapshot is None:
+        snapshot = capture(boot())
+        _golden[key] = snapshot
+    return snapshot
 
 
-def published(key: str) -> Optional[SnapshotState]:
-    """The snapshot published under ``key``, if any (parent or
-    fork-inherited)."""
-    return _published.get(key)
-
-
-def clear_published() -> None:
-    """Drop every published snapshot (test teardown / memory hygiene)."""
-    _published.clear()
+def clear_golden() -> None:
+    """Drop every golden snapshot (test teardown / memory hygiene)."""
+    _golden.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +395,12 @@ SNAPSHOT_DISPOSITIONS: Dict[str, str] = {
     "repro.core.crypto:_derive_memo": "shared",
     "repro.core.crypto:_keystream_memo": "shared",
     "repro.core.crypto:_principal_memo": "shared",
-    # The publication registry for fork-context workers: deliberately
-    # module-scope (fork inheritance is the only way a SnapshotState
-    # crosses a process boundary), holding only
-    # immutable-from-the-caller's-view SnapshotStates — restores from
-    # a published snapshot share nothing mutable with each other.
-    "repro.hw.snapshot:_published": "shared",
+    # The golden-boot cache: deliberately module-scope (fork
+    # inheritance is the only way a SnapshotState crosses a process
+    # boundary), holding only immutable-from-the-caller's-view
+    # SnapshotStates — restores from one share nothing mutable with
+    # each other.
+    "repro.hw.snapshot:_golden": "shared",
 }
 
 

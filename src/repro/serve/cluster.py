@@ -12,9 +12,9 @@ Execution modes, byte-identical by construction:
 * ``inline`` — every shard runs sequentially in the calling process;
 * multiprocess — one **forked** worker per shard (bounded by
   ``workers`` concurrent processes), each restored from one shared
-  COW snapshot the parent captured and published *before* forking
-  (:func:`repro.hw.snapshot.publish` — snapshots cannot be pickled,
-  but they ride fork inheritance for free).
+  COW snapshot the parent captured into the golden-boot cache
+  *before* forking (:func:`repro.hw.snapshot.golden` — snapshots
+  cannot be pickled, but they ride fork inheritance for free).
 
 Byte-identity holds because each shard is a closed world: its machine,
 sub-schedule, and virtual clock are independent of every other shard,
@@ -31,6 +31,7 @@ machines), and emits a completed report with ``degraded: true`` — a
 dead worker degrades the answer, it never hangs the run.
 """
 
+import functools
 import json
 import multiprocessing
 import os
@@ -84,8 +85,8 @@ class ClusterConfig:
                 raise ValueError(f"kill_shards entry {shard} out of range")
 
 
-def snapshot_key(spec: LoadSpec, cloaked: bool) -> str:
-    return f"serve:{spec.app}:{int(cloaked)}"
+def snapshot_key(spec: LoadSpec, cloaked: bool) -> Tuple[str, str, bool]:
+    return (__name__, spec.app, cloaked)
 
 
 def plan_shards(config: ClusterConfig) -> Tuple[HashRing,
@@ -114,15 +115,15 @@ def _boot_machine(spec: LoadSpec, cloaked: bool) -> Machine:
 
 
 def _shard_machine(spec: LoadSpec, cloaked: bool) -> Machine:
-    """A machine for one shard run: snapshot restore when available
-    (published by the parent, fork-inherited in workers), fresh boot
-    otherwise.  Both paths are cycle-identical by the snapshot
-    equivalence guarantee, so the report does not depend on which one
-    ran."""
+    """A machine for one shard run: a restore of the golden snapshot
+    (captured by the parent, fork-inherited in workers), or a fresh
+    boot under :func:`repro.hw.snapshot.force_fresh`.  Both paths are
+    cycle-identical by the snapshot equivalence guarantee, so the
+    report does not depend on which one ran."""
     if snapshot_mod.snapshots_enabled():
-        snap = snapshot_mod.published(snapshot_key(spec, cloaked))
-        if snap is not None:
-            return Machine.from_snapshot(snap)
+        return Machine.from_snapshot(snapshot_mod.golden(
+            snapshot_key(spec, cloaked),
+            functools.partial(_boot_machine, spec, cloaked)))
     return _boot_machine(spec, cloaked)
 
 
@@ -144,14 +145,14 @@ def run_shard(config: ClusterConfig, shard: int, rows: List[Row]) -> Dict:
 
 
 def publish_snapshot(config: ClusterConfig) -> bool:
-    """Boot + capture + publish the shared shard snapshot (parent side,
-    before any fork).  Returns False when snapshots are disabled."""
+    """Boot + capture the shared shard snapshot into the golden-boot
+    cache (parent side, before any fork, so workers inherit it).
+    Returns False when snapshots are disabled."""
     if not snapshot_mod.snapshots_enabled():
         return False
-    key = snapshot_key(config.spec, config.cloaked)
-    if snapshot_mod.published(key) is None:
-        machine = _boot_machine(config.spec, config.cloaked)
-        snapshot_mod.publish(key, machine.snapshot())
+    spec, cloaked = config.spec, config.cloaked
+    snapshot_mod.golden(snapshot_key(spec, cloaked),
+                        functools.partial(_boot_machine, spec, cloaked))
     return True
 
 

@@ -80,7 +80,7 @@ def test_serve_allowed_imports_are_clean(tree):
         from repro.apps.webserver import WebServer
         from repro.machine import Machine
         from repro.obs.metrics import MetricsRegistry
-        from repro.hw.snapshot import publish, published
+        from repro.hw.snapshot import clear_golden, golden
         from repro.guestos.uapi import O_RDONLY
         from repro.serve.ring import HashRing
         import hashlib

@@ -63,3 +63,20 @@ class TestCheck:
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError):
             wallclock.run(warmup=0, repeats=1, only=["no-such-workload"])
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["--repeats"], ["--warmup"], ["--out"], ["--check"],
+        ["--seconds-tolerance"], ["--workloads"],
+        ["--repeats", "many"], ["--warmup", "x"],
+    ])
+    def test_missing_or_bad_value_prints_usage(self, argv, capsys):
+        assert wallclock.main(argv) == 2
+        out = capsys.readouterr().out
+        assert argv[0] in out
+        assert "usage: python -m repro wallclock" in out
+
+    def test_unknown_option_prints_usage(self, capsys):
+        assert wallclock.main(["--bogus"]) == 2
+        assert "usage: python -m repro wallclock" in capsys.readouterr().out

@@ -8,8 +8,9 @@ Three groups of guarantees:
 * **capture/restore discipline** — only quiescent machines capture;
   fault plans must match across capture and restore, and a plan whose
   arms would have fired inside the captured boot window is rejected
-  rather than silently rescheduled; the pickle fast path and the
-  deepcopy fallback produce behaviourally identical machines.
+  rather than silently rescheduled; an unpicklable machine fails at
+  capture, and a snapshot shares nothing mutable with its source;
+  the golden-boot cache boots once per key.
 * **inventory** — every piece of process-wide mutable state in
   ``repro.hw``/``repro.core`` has an explicit snapshot disposition.
 
@@ -194,26 +195,48 @@ class TestCaptureRestore:
         with pytest.raises(snapshot_mod.SnapshotError, match="exited"):
             zombies[0].runtime.next_op(None)
 
-    def test_pickle_fast_path_and_deepcopy_fallback_agree(self):
+    def test_unpicklable_attribute_fails_capture_and_spares_the_source(
+            self):
+        machine = _booted(cloaked=False)
+
+        def unpicklable_hook():
+            pass
+
+        machine._test_hook = unpicklable_hook
+        with pytest.raises(snapshot_mod.SnapshotError,
+                           match="unpicklable_hook"):
+            machine.snapshot()
+        result = measure_program(machine, "mb-getpid", ())
+        assert result.exit_code == 0
+
+    def test_snapshot_shares_nothing_mutable_with_its_source(self):
         machine = _booted()
         snap = machine.snapshot()
-        assert snap._blob is not None, "pickle fast path did not engage"
-        fast = measure_program(Machine.from_snapshot(snap),
-                               "mb-readsec4k", ("2",))
-        snap._blob = None          # force the deepcopy fallback
-        slow = measure_program(Machine.from_snapshot(snap),
-                               "mb-readsec4k", ("2",))
-        assert fast.console == slow.console
-        assert fast.cycles_total == slow.cycles_total
+        before = measure_program(Machine.from_snapshot(snap),
+                                 "mb-readsec4k", ("2",))
+        measure_program(machine, "mb-readsec4k", ("2",))
+        after = measure_program(Machine.from_snapshot(snap),
+                                "mb-readsec4k", ("2",))
+        assert after.console == before.console
+        assert after.cycles_total == before.cycles_total
 
-    def test_unpicklable_extension_falls_back_transparently(self):
-        machine = _booted(cloaked=False)
-        machine._test_hook = lambda: None     # local: defeats pickle
-        snap = machine.snapshot()
-        assert snap._blob is None
-        restored = Machine.from_snapshot(snap)
-        result = measure_program(restored, "mb-getpid", ())
-        assert result.exit_code == 0
+    def test_golden_boots_once_per_key_until_cleared(self):
+        boots = []
+
+        def boot():
+            boots.append(1)
+            return Machine()
+
+        key = (__name__, "golden-test")
+        try:
+            first = snapshot_mod.golden(key, boot)
+            assert snapshot_mod.golden(key, boot) is first
+            assert len(boots) == 1
+            snapshot_mod.clear_golden()
+            assert snapshot_mod.golden(key, boot) is not first
+            assert len(boots) == 2
+        finally:
+            snapshot_mod.clear_golden()
 
     def test_force_fresh_disables_and_restores_snapshot_reuse(self):
         assert snapshot_mod.snapshots_enabled()

@@ -18,6 +18,7 @@ from repro.serve.cluster import (
     plan_shards,
     report_json,
     run_cluster,
+    snapshot_key,
 )
 from repro.serve.loadgen import LoadSpec, build_schedule
 
@@ -44,9 +45,9 @@ def _config(**overrides) -> ClusterConfig:
 
 
 @pytest.fixture(autouse=True)
-def _fresh_published_registry():
+def _fresh_golden_cache():
     yield
-    snapshot_mod.clear_published()
+    snapshot_mod.clear_golden()
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,16 @@ def test_inline_run_is_repeatable():
     first = run_cluster(_config(inline=True))
     second = run_cluster(_config(inline=True))
     assert report_json(first) == report_json(second)
+
+
+def test_snapshot_restored_run_matches_fresh_boots_byte_for_byte():
+    restored = run_cluster(_config(inline=True))
+    # The shards restored from the golden cache, not from fresh boots.
+    snapshot_mod.golden(snapshot_key(SPEC, False),
+                        lambda: pytest.fail("golden was not cached"))
+    with snapshot_mod.force_fresh():
+        fresh = run_cluster(_config(inline=True))
+    assert report_json(restored) == report_json(fresh)
 
 
 @needs_fork

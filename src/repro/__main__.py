@@ -1,24 +1,23 @@
-"""Command-line entry point: regenerate the evaluation.
+"""``python -m repro``: regenerate the evaluation.
 
 Usage::
 
-    python -m repro                # run every experiment, print tables
-    python -m repro r-f1 r-t2     # run selected experiments
-    python -m repro --list        # show available experiments
-    python -m repro faults        # differential conformance + fault matrix
-    python -m repro wallclock     # host-speed harness -> BENCH_wallclock.json
-    python -m repro trace mb-read4k --cloaked --out trace.json
-                                  # probe-bus trace -> Perfetto-loadable JSON
+    python -m repro [KEY ...]      # run experiments (default: all)
+    python -m repro --list         # the experiment index
+    python -m repro faults         # differential conformance + fault matrix
     python -m repro fuzz           # seeded differential fuzzing campaign
-    python -m repro fuzz --replay 'SEED:{spec-json}'
-                                  # re-run one (seed, spec) reproducer
-    python -m repro serve --shards 4
-                                  # open-loop cluster serving -> merged
-                                  # deterministic JSON report
+    python -m repro serve          # open-loop cluster serving -> JSON report
+    python -m repro trace PROGRAM  # probe-bus trace -> Perfetto JSON
+    python -m repro wallclock      # host-speed harness -> BENCH_wallclock.json
+
+``python -m repro <command> --help`` lists each command's flags.
 """
 
 import sys
-from typing import Callable, Dict
+from importlib import import_module
+from typing import Callable, Dict, List
+
+from repro import cli
 
 
 def _experiments() -> Dict[str, Callable]:
@@ -86,157 +85,57 @@ DESCRIPTIONS = {
 }
 
 
-def _faults_main(args) -> int:
-    """``python -m repro faults``: the fault-injection oracle.
-
-    Runs the differential conformance sweep (every registered app,
-    native vs cloaked, double-run determinism) and the fault-recovery
-    matrix; exits non-zero if any invariant fails.  ``--seed N``
-    reseeds the matrix plans; ``--matrix-only`` skips the (slower)
-    conformance sweep.
-    """
-    from repro.faults import oracle
-
-    seed = 7
-    if "--seed" in args:
-        seed = int(args[args.index("--seed") + 1])
-
-    failures = 0
-    if "--matrix-only" not in args:
-        print("## differential conformance (native vs cloaked, "
-              "double-run determinism)")
-        results = oracle.run_conformance(verbose=True)
-        bad = [r for r in results if not r.ok]
-        failures += len(bad)
-        print(f"conformance: {len(results)} programs, "
-              f"{len(bad)} failures")
-
-    print(f"\n## fault-recovery matrix (seed {seed})")
-    from repro.bench import exp_faults
-
-    rows = exp_faults.run(verbose=True, seed=seed)
-    escaped = [r for r in rows
-               if r.outcome not in oracle.CONTAINED_OUTCOMES]
-    unfired = [r for r in rows if r.fires == 0]
-    for row in escaped:
-        print(f"NOT CONTAINED: {row.site} -> {row.outcome}  "
-              f"replay: {row.replay}")
-    for row in unfired:
-        print(f"NEVER FIRED: {row.site}  replay: {row.replay}")
-    failures += len(escaped) + len(unfired)
-    print("fault matrix: "
-          + ("all contained" if not (escaped or unfired) else "FAILED"))
-    return 1 if failures else 0
+#: ``python -m repro <command> ...`` -> ``module:function``.  The
+#: function takes the argv after the command and returns the exit
+#: status; its module is imported only when the command runs.
+COMMANDS = {
+    "faults": "repro.bench.exp_faults:faults_main",
+    "fuzz": "repro.bench.exp_fuzz:fuzz_main",
+    "serve": "repro.bench.exp_cluster:serve_main",
+    "trace": "repro.obs.cli:main",
+    "wallclock": "repro.bench.wallclock:main",
+}
 
 
-def _fuzz_main(args) -> int:
-    """``python -m repro fuzz``: seeded differential fuzzing.
-
-    Default: a campaign of generated self-checking guest programs run
-    native-vs-cloaked under the oracle (``--seed``, ``--count``,
-    ``--fault-sites``, ``--no-shrink``, ``--out report.json``).
-    ``--replay 'SEED:{spec-json}'`` re-runs one reproducer exactly as
-    printed by a failing campaign.  ``--write-golden [PATH]``
-    regenerates the pinned listing digests consumed by
-    tests/gen/test_golden.py.
-    """
-    from repro.gen import driver
-    from repro.gen.generator import generate
-    from repro.gen.shrink import check_failure
-
-    def flag_value(name, default=None):
-        if name in args:
-            return args[args.index(name) + 1]
-        return default
-
-    if "--replay" in args:
-        token = flag_value("--replay")
-        seed, spec = driver.parse_replay_token(token)
-        plan = generate(seed, spec)
-        print(f"replaying {plan.name}: seed={seed} preset={spec.preset} "
-              f"ops={len(plan.ops)}")
-        for line in plan.listing():
-            print(f"  {line}")
-        kind, detail = check_failure(seed, spec)
-        if kind is None:
-            print("replay: PASS (native and cloaked agree, hygiene clean)")
-            return 0
-        print(f"replay: FAIL [{kind}] {detail}")
-        return 1
-
-    if "--write-golden" in args:
-        from repro.gen.golden import write_golden
-
-        index = args.index("--write-golden")
-        path = None
-        if index + 1 < len(args) and not args[index + 1].startswith("-"):
-            path = args[index + 1]
-        written = write_golden(path)
-        print(f"golden listings written: {written}")
-        return 0
-
-    report = driver.run_campaign(
-        campaign_seed=int(flag_value("--seed", 0)),
-        count=int(flag_value("--count", 64)),
-        fault_sites="--fault-sites" in args,
-        shrink_failures="--no-shrink" not in args,
-        verbose=True,
-    )
-    print(f"\nfuzz: {report.count} programs, "
-          f"{len(report.failures())} failures, "
-          f"syscalls missing {report.syscalls_missing() or 'none'}, "
-          f"fault sites {len(report.fault_sites)}/14")
-    print(f"report digest: {report.digest()}")
-    out = flag_value("--out")
-    if out is not None:
-        with open(out, "w") as sink:
-            sink.write(report.to_json())
-        print(f"report written: {out}")
-    return 0 if report.ok else 1
-
-
-def main(argv=None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-
-    if args and args[0].lower() == "faults":
-        return _faults_main([a.lower() for a in args[1:]])
-
-    if args and args[0].lower() == "fuzz":
-        return _fuzz_main(args[1:])
-
-    if args and args[0].lower() == "serve":
-        from repro.bench.exp_cluster import serve_main
-
-        return serve_main(args[1:])
-
-    if args and args[0].lower() == "wallclock":
-        from repro.bench import wallclock
-
-        return wallclock.main(args[1:])
-
-    if args and args[0].lower() == "trace":
-        from repro.obs.cli import main as trace_main
-
-        return trace_main(args[1:])
+def _run_experiments(argv: List[str]) -> int:
+    parser = cli.command_parser(
+        description="Run the selected experiments (default: all) and "
+                    "print their tables.")
+    parser.epilog = (f"commands: {', '.join(COMMANDS)} "
+                     "(python -m repro <command> --help)")
+    parser.add_argument("-l", "--list", action="store_true",
+                        help="show available experiments")
+    parser.add_argument("keys", nargs="*", type=str.lower, metavar="KEY",
+                        help="experiment key, e.g. r-f1")
+    opts, status = cli.parse(parser, argv)
+    if opts is None:
+        return status
 
     experiments = _experiments()
-
-    if "--list" in args or "-l" in args:
+    if opts.list:
         for key in experiments:
             print(f"{key:6s} {DESCRIPTIONS[key]}")
         return 0
 
-    selected = [a.lower() for a in args if not a.startswith("-")]
-    unknown = [key for key in selected if key not in experiments]
+    unknown = [key for key in opts.keys if key not in experiments]
     if unknown:
         print(f"unknown experiments: {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(experiments)}", file=sys.stderr)
         return 2
 
-    for key in selected or experiments:
+    for key in opts.keys or experiments:
         print(f"\n### {key.upper()}: {DESCRIPTIONS[key]}")
         experiments[key](verbose=True)
     return 0
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    entry = COMMANDS.get(argv[0].lower()) if argv else None
+    if entry is None:
+        return _run_experiments(argv)
+    module, _, function = entry.partition(":")
+    return getattr(import_module(module), function)(argv[1:])
 
 
 if __name__ == "__main__":

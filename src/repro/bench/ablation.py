@@ -99,15 +99,3 @@ def run_shadow_policy(verbose: bool = True) -> Dict[str, Dict[str, int]]:
                           f"{flush[name] / tagged[name]:.2f}x")
         table.show()
     return {"tagged": tagged, "flush": flush}
-
-
-def run_all(verbose: bool = True) -> Dict[str, Dict]:
-    return {
-        "lazy_vs_eager": run_lazy_vs_eager(verbose),
-        "integrity_modes": run_integrity_modes(verbose),
-        "shadow_policy": run_shadow_policy(verbose),
-    }
-
-
-if __name__ == "__main__":
-    run_all()

@@ -35,7 +35,3 @@ def cloaked_is_safe(rows: Dict[str, Tuple[str, str]]) -> bool:
     """The headline claim: no cloaked run ever LEAKED."""
     return all(cloaked != AttackOutcome.LEAKED.value
                for __, cloaked in rows.values())
-
-
-if __name__ == "__main__":
-    run()

@@ -19,8 +19,9 @@ CLI over :func:`repro.serve.cluster.run_cluster`.
 
 import sys
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
+from repro import cli
 from repro.bench.tables import Series, Table
 from repro.serve.cluster import ClusterConfig, report_json, run_cluster
 from repro.serve.loadgen import APPS, ARRIVALS, LoadSpec
@@ -103,74 +104,81 @@ def run(verbose: bool = True) -> Dict:
 # ``python -m repro serve``
 # ---------------------------------------------------------------------------
 
-_USAGE = """\
-usage: python -m repro serve [options]
-
-Run one open-loop cluster serving experiment and print the merged
-deterministic report as JSON (byte-identical across --inline and
-multiprocess runs, worker counts, and hosts).
-
-options:
-  --shards N        shard count (default 4)
-  --app NAME        webserver | kvstore (default webserver)
-  --cloaked         run the protected server under the VMM shim
-  --requests N      scheduled arrivals (default 64)
-  --mean-gap N      mean inter-arrival gap, cycles (default 12000)
-  --arrival KIND    poisson | bursty | uniform (default poisson)
-  --connections N   multiplexed logical connections (default 4)
-  --deadline N      per-request SLO deadline, cycles (default 240000)
-  --seed N          schedule seed (default 0)
-  --workers N       max concurrent worker processes (default: shards)
-  --inline          run every shard in-process (no forking)
-  --kill LIST       comma-separated shards whose workers die mid-run
-  --no-metrics      skip the merged repro.obs metrics section
-  --out PATH        also write the report JSON to PATH
-  --summary         print a short human summary instead of the JSON
-"""
+def _shard_list(text: str) -> Tuple[int, ...]:
+    return tuple(int(shard) for shard in cli.comma_list(text))
 
 
-def _flag_value(args: List[str], name: str, default=None):
-    if name in args:
-        return args[args.index(name) + 1]
-    return default
+def _serve_parser():
+    parser = cli.command_parser(
+        "serve", "Run one open-loop cluster serving experiment and print "
+        "the merged deterministic report as JSON (byte-identical across "
+        "--inline and multiprocess runs, worker counts, and hosts).")
+    parser.add_argument("--shards", type=int, default=4, metavar="N",
+                        help="shard count (default: %(default)s)")
+    parser.add_argument("--app", choices=APPS, default="webserver",
+                        help="guest server (default: %(default)s)")
+    parser.add_argument("--cloaked", action="store_true",
+                        help="run the protected server under the VMM shim")
+    parser.add_argument("--requests", type=int, default=64, metavar="N",
+                        help="scheduled arrivals (default: %(default)s)")
+    parser.add_argument("--mean-gap", type=int, default=12_000, metavar="N",
+                        help="mean inter-arrival gap, cycles "
+                             "(default: %(default)s)")
+    parser.add_argument("--arrival", choices=ARRIVALS, default="poisson",
+                        help="arrival process (default: %(default)s)")
+    parser.add_argument("--connections", type=int, default=4, metavar="N",
+                        help="multiplexed logical connections "
+                             "(default: %(default)s)")
+    parser.add_argument("--deadline", type=int, default=240_000,
+                        metavar="N", help="per-request SLO deadline, "
+                                          "cycles (default: %(default)s)")
+    cli.add_seed(parser, 0)
+    parser.add_argument("--workers", type=int, default=0, metavar="N",
+                        help="max concurrent worker processes "
+                             "(default: one per shard)")
+    parser.add_argument("--inline", action="store_true",
+                        help="run every shard in-process (no forking)")
+    parser.add_argument("--kill", type=_shard_list, default=(),
+                        metavar="LIST", help="comma-separated shards whose "
+                                             "workers die mid-run")
+    parser.add_argument("--no-metrics", dest="metrics",
+                        action="store_false",
+                        help="skip the merged repro.obs metrics section")
+    cli.add_out(parser)
+    parser.add_argument("--summary", action="store_true",
+                        help="print a short human summary instead of the "
+                             "JSON")
+    return parser
 
 
 def serve_main(args: List[str]) -> int:
-    if "--help" in args or "-h" in args:
-        print(_USAGE)
-        return 0
-    app = _flag_value(args, "--app", "webserver")
-    arrival = _flag_value(args, "--arrival", "poisson")
-    if app not in APPS or arrival not in ARRIVALS:
-        print(_USAGE, file=sys.stderr)
-        return 2
-    kill_arg = _flag_value(args, "--kill", "")
-    kill = tuple(int(s) for s in kill_arg.split(",") if s.strip())
+    opts, status = cli.parse(_serve_parser(), args)
+    if opts is None:
+        return status
     config = ClusterConfig(
         spec=LoadSpec(
-            app=app,
-            requests=int(_flag_value(args, "--requests", 64)),
-            mean_gap=int(_flag_value(args, "--mean-gap", 12_000)),
-            arrival=arrival,
-            connections=int(_flag_value(args, "--connections", 4)),
-            deadline=int(_flag_value(args, "--deadline", 240_000)),
-            seed=int(_flag_value(args, "--seed", 0)),
+            app=opts.app,
+            requests=opts.requests,
+            mean_gap=opts.mean_gap,
+            arrival=opts.arrival,
+            connections=opts.connections,
+            deadline=opts.deadline,
+            seed=opts.seed,
         ),
-        shards=int(_flag_value(args, "--shards", 4)),
-        cloaked="--cloaked" in args,
-        workers=int(_flag_value(args, "--workers", 0)),
-        inline="--inline" in args,
-        kill_shards=kill,
-        attach_metrics="--no-metrics" not in args,
+        shards=opts.shards,
+        cloaked=opts.cloaked,
+        workers=opts.workers,
+        inline=opts.inline,
+        kill_shards=opts.kill,
+        attach_metrics=opts.metrics,
     )
     report = run_cluster(config)
     rendered = report_json(report)
-    out = _flag_value(args, "--out")
-    if out is not None:
-        with open(out, "w") as sink:
+    if opts.out is not None:
+        with open(opts.out, "w") as sink:
             sink.write(rendered)
-        print(f"report written: {out}", file=sys.stderr)
-    if "--summary" in args:
+        print(f"report written: {opts.out}", file=sys.stderr)
+    if opts.summary:
         cluster = report["cluster"]
         print(f"serve: {config.spec.app} shards={config.shards} "
               f"cloaked={config.cloaked} arrival={config.spec.arrival}")
@@ -187,7 +195,3 @@ def serve_main(args: List[str]) -> int:
     else:
         sys.stdout.write(rendered)
     return 0
-
-
-if __name__ == "__main__":
-    run()

@@ -40,7 +40,3 @@ def run(verbose: bool = True) -> List[Tuple[str, int, int, float]]:
         table.add_row("geomean-ish (arith.)", "", "", f"{mean:.1f}%")
         table.show()
     return rows
-
-
-if __name__ == "__main__":
-    run()

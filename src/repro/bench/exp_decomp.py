@@ -69,7 +69,3 @@ def run(verbose: bool = True) -> Dict[str, int]:
         else:
             print("MISMATCH between probe decomposition and cycle ledger")
     return results
-
-
-if __name__ == "__main__":
-    run()

@@ -53,7 +53,3 @@ def run(verbose: bool = True) -> Series:
     if verbose:
         series.show()
     return series
-
-
-if __name__ == "__main__":
-    run()

@@ -43,7 +43,3 @@ def run(verbose: bool = True) -> List[Tuple[str, int, int, float, float]]:
             table.add_row(name, n, c, f"{r:.2f}x", f"{share:.0f}%")
         table.show()
     return rows
-
-
-if __name__ == "__main__":
-    run()

@@ -19,12 +19,18 @@ Headline claims:
   fault-injection site;
 * containment — each rotating armed site classifies RECOVERED or
   DETECTED, never EXPOSED or CORRUPTED.
+
+Also the home of ``python -m repro fuzz`` (:func:`fuzz_main`).
 """
 
-from typing import Optional
+from typing import List
 
+from repro import cli
 from repro.bench.tables import Table
-from repro.gen.driver import CampaignReport, run_campaign
+from repro.gen import golden
+from repro.gen.driver import CampaignReport, parse_replay_token, run_campaign
+from repro.gen.generator import generate
+from repro.gen.shrink import check_failure
 
 CAMPAIGN_SEED = 0
 CAMPAIGN_COUNT = 64
@@ -72,5 +78,69 @@ def zero_divergences(report: CampaignReport) -> bool:
     return report.ok
 
 
-if __name__ == "__main__":
-    run()
+def _fuzz_parser():
+    parser = cli.command_parser(
+        "fuzz", "Run a seeded campaign of generated self-checking guest "
+        "programs native-vs-cloaked under the differential oracle.")
+    cli.add_seed(parser, CAMPAIGN_SEED)
+    parser.add_argument("--count", type=int, default=CAMPAIGN_COUNT,
+                        metavar="N",
+                        help="generated programs (default: %(default)s)")
+    parser.add_argument("--fault-sites", action="store_true",
+                        help="arm a rotating fault-injection site per slot")
+    parser.add_argument("--no-shrink", dest="shrink", action="store_false",
+                        help="report failures without shrinking them")
+    cli.add_out(parser)
+    parser.add_argument("--replay", type=parse_replay_token,
+                        metavar="SEED:SPEC",
+                        help="re-run one reproducer exactly as a failing "
+                             "campaign printed it")
+    parser.add_argument("--write-golden", nargs="?", const=golden.DEFAULT_PATH,
+                        metavar="PATH",
+                        help="regenerate the pinned generator listings "
+                             "(default PATH: %(const)s)")
+    return parser
+
+
+def fuzz_main(argv: List[str]) -> int:
+    """``python -m repro fuzz``: seeded differential fuzzing."""
+    opts, status = cli.parse(_fuzz_parser(), argv)
+    if opts is None:
+        return status
+
+    if opts.replay is not None:
+        seed, spec = opts.replay
+        plan = generate(seed, spec)
+        print(f"replaying {plan.name}: seed={seed} preset={spec.preset} "
+              f"ops={len(plan.ops)}")
+        for line in plan.listing():
+            print(f"  {line}")
+        kind, detail = check_failure(seed, spec)
+        if kind is None:
+            print("replay: PASS (native and cloaked agree, hygiene clean)")
+            return 0
+        print(f"replay: FAIL [{kind}] {detail}")
+        return 1
+
+    if opts.write_golden is not None:
+        written = golden.write_golden(opts.write_golden)
+        print(f"golden listings written: {written}")
+        return 0
+
+    report = run_campaign(
+        campaign_seed=opts.seed,
+        count=opts.count,
+        fault_sites=opts.fault_sites,
+        shrink_failures=opts.shrink,
+        verbose=True,
+    )
+    print(f"\nfuzz: {report.count} programs, "
+          f"{len(report.failures())} failures, "
+          f"syscalls missing {report.syscalls_missing() or 'none'}, "
+          f"fault sites {len(report.fault_sites)}/14")
+    print(f"report digest: {report.digest()}")
+    if opts.out is not None:
+        with open(opts.out, "w") as sink:
+            sink.write(report.to_json())
+        print(f"report written: {opts.out}")
+    return 0 if report.ok else 1

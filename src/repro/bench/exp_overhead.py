@@ -72,7 +72,3 @@ def run(verbose: bool = True) -> Dict[str, Dict[str, int]]:
         space.show()
     results["_space"] = reports["seqwrite-secure"]
     return results
-
-
-if __name__ == "__main__":
-    run()

@@ -62,7 +62,3 @@ def run(verbose: bool = True) -> List[Tuple[str, int, int, float, int]]:
             table.add_row(label, n, c, f"{pct:.1f}%", swapins)
         table.show()
     return rows
-
-
-if __name__ == "__main__":
-    run()

@@ -45,7 +45,3 @@ def run(verbose: bool = True, iterations: int = 40) -> List[Tuple[str, float, fl
             table.add_row(name, native, cloaked, f"{slowdown:.2f}x")
         table.show()
     return rows
-
-
-if __name__ == "__main__":
-    run()

@@ -112,7 +112,3 @@ def run(verbose: bool = True) -> Dict[str, int]:
             table.add_row(name, cycles)
         table.show()
     return results
-
-
-if __name__ == "__main__":
-    run()

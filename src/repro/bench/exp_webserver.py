@@ -145,7 +145,3 @@ def run(verbose: bool = True) -> Dict:
               "latency; the open-loop schedule keeps offering, and the "
               "tail shows what clients would actually experience.")
     return {"closed": closed, "open": open_series, "gap": gap}
-
-
-if __name__ == "__main__":
-    run()

@@ -101,7 +101,3 @@ def run(verbose: bool = True) -> Dict[str, Dict[str, float]]:
               "C2 fork worst; C3 protected files crypto-bound; "
               "C4 multi-shadowing wins.")
     return results
-
-
-if __name__ == "__main__":
-    run()

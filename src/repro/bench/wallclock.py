@@ -30,6 +30,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import cli
 from repro.apps.microbench import MICRO_SUITE
 from repro.bench.runner import fresh_machine, measure_program
 
@@ -266,70 +267,61 @@ def check_against(report: Dict, committed_path: str,
     return problems
 
 
-_USAGE = ("usage: python -m repro wallclock [--warmup N] "
-          "[--repeats N] [--out PATH | --no-write] "
-          "[--check PATH] [--seconds-tolerance PCT] "
-          "[--workloads a,b,...]")
+def _parser():
+    parser = cli.command_parser(
+        "wallclock", "Time the workload basket on the host. Virtual "
+        "cycles are the result; wall clock is the harness.")
+    parser.add_argument("--warmup", type=int, default=1, metavar="N",
+                        help="untimed runs per workload "
+                             "(default: %(default)s)")
+    parser.add_argument("--repeats", type=int, default=3, metavar="N",
+                        help="timed runs per workload, median reported "
+                             "(default: %(default)s)")
+    sink = parser.add_mutually_exclusive_group()
+    cli.add_out(sink, default=DEFAULT_OUT)
+    sink.add_argument("--no-write", dest="out", action="store_const",
+                      const=None, help="write no report")
+    parser.add_argument("--check", metavar="PATH",
+                        help="fail if the cycle hash differs from the "
+                             "report at PATH")
+    parser.add_argument("--seconds-tolerance", type=float, metavar="PCT",
+                        help="with --check, also fail if a workload's "
+                             "wall time grew by more than PCT percent")
+    parser.add_argument("--workloads", type=cli.comma_list, default=(),
+                        metavar="NAME,...",
+                        help=f"run only these ({', '.join(WORKLOADS)})")
+    return parser
 
 
 def main(argv: List[str]) -> int:
     """``python -m repro wallclock`` entry point."""
-    warmup, repeats = 1, 3
-    out: Optional[str] = DEFAULT_OUT
-    check: Optional[str] = None
-    seconds_tolerance: Optional[float] = None
-    only: List[str] = []
-    i = 0
-    try:
-        while i < len(argv):
-            arg = argv[i]
-            if arg == "--warmup":
-                warmup = int(argv[i + 1]); i += 2
-            elif arg == "--repeats":
-                repeats = int(argv[i + 1]); i += 2
-            elif arg == "--out":
-                out = argv[i + 1]; i += 2
-            elif arg == "--no-write":
-                out = None; i += 1
-            elif arg == "--check":
-                check = argv[i + 1]; i += 2
-            elif arg == "--seconds-tolerance":
-                seconds_tolerance = float(argv[i + 1]); i += 2
-            elif arg == "--workloads":
-                only = [w.strip() for w in argv[i + 1].split(",")
-                        if w.strip()]
-                i += 2
-            else:
-                print(f"unknown wallclock option: {arg}")
-                print(_USAGE)
-                return 2
-    except (IndexError, ValueError):
-        print(f"wallclock option {arg} needs a valid value")
-        print(_USAGE)
-        return 2
-    unknown = [name for name in only if name not in WORKLOADS]
+    opts, status = cli.parse(_parser(), argv)
+    if opts is None:
+        return status
+    unknown = [name for name in opts.workloads if name not in WORKLOADS]
     if unknown:
         print(f"unknown workload(s): {', '.join(unknown)} "
               f"(available: {', '.join(WORKLOADS)})")
         return 2
-    print(f"## wall-clock harness (warmup {warmup}, repeats {repeats}; "
+    print(f"## wall-clock harness (warmup {opts.warmup}, "
+          f"repeats {opts.repeats}; "
           "virtual cycles are the result, wall clock is the harness)")
-    report = run(warmup=warmup, repeats=repeats,
-                 only=tuple(only) or None, verbose=True)
+    report = run(warmup=opts.warmup, repeats=opts.repeats,
+                 only=opts.workloads or None, verbose=True)
     print(f"cycle hash: {report['cycle_hash']}")
-    if out is not None:
-        path = write_report(report, out)
+    if opts.out is not None:
+        path = write_report(report, opts.out)
         print(f"wrote {path}")
-    if check is not None:
-        problems = check_against(report, check,
-                                 seconds_tolerance=seconds_tolerance)
+    if opts.check is not None:
+        problems = check_against(report, opts.check,
+                                 seconds_tolerance=opts.seconds_tolerance)
         for problem in problems:
             print(problem)
         if problems:
             print("wallclock check: FAILED")
             return 1
         what = "cycles"
-        if seconds_tolerance is not None:
-            what += f" and wall time (±{seconds_tolerance:g}%)"
-        print(f"wallclock check: {what} consistent with {check}")
+        if opts.seconds_tolerance is not None:
+            what += f" and wall time (±{opts.seconds_tolerance:g}%)"
+        print(f"wallclock check: {what} consistent with {opts.check}")
     return 0

@@ -1,12 +1,5 @@
 """``python -m repro trace`` — run a program with the probe bus on.
 
-Usage::
-
-    python -m repro trace <program> [args...] [--native|--cloaked]
-                          [--out trace.json] [--jsonl trace.jsonl]
-                          [--metrics] [--metrics-out metrics.json]
-                          [--top N] [--quiet]
-
 ``<program>`` is any registered app (``python -m repro trace mb-read4k
 --cloaked``); the pseudo-program ``microbench`` runs the entire
 syscall microbenchmark suite on one machine.  ``--out`` writes Chrome
@@ -14,55 +7,44 @@ trace-event JSON (load it at https://ui.perfetto.dev — the timeline
 unit is *virtual cycles*), ``--jsonl`` the line-per-event form, and
 ``--metrics``/``--metrics-out`` the counter/histogram snapshot.  The
 flame summary and page-thrash report always print unless ``--quiet``.
+``python -m repro trace --help`` lists every flag.
 
 Everything emitted is derived from the deterministic virtual-cycle
 world, so repeated invocations produce byte-identical files.
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-USAGE = ("usage: python -m repro trace <program|microbench> [args...] "
-         "[--native|--cloaked] [--out PATH] [--jsonl PATH] "
-         "[--metrics] [--metrics-out PATH] [--top N] [--quiet]")
+from repro import cli
 
 
-def _parse(argv: List[str]):
-    program: Optional[str] = None
-    args: List[str] = []
-    cloaked = True
-    out = jsonl = metrics_out = None
-    want_metrics = False
-    quiet = False
-    top = 10
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--native":
-            cloaked = False; i += 1
-        elif arg == "--cloaked":
-            cloaked = True; i += 1
-        elif arg == "--out":
-            out = argv[i + 1]; i += 2
-        elif arg == "--jsonl":
-            jsonl = argv[i + 1]; i += 2
-        elif arg == "--metrics":
-            want_metrics = True; i += 1
-        elif arg == "--metrics-out":
-            metrics_out = argv[i + 1]; want_metrics = True; i += 2
-        elif arg == "--top":
-            top = int(argv[i + 1]); i += 2
-        elif arg == "--quiet":
-            quiet = True; i += 1
-        elif arg.startswith("-"):
-            raise ValueError(f"unknown trace option: {arg}")
-        elif program is None:
-            program = arg; i += 1
-        else:
-            args.append(arg); i += 1
-    if program is None:
-        raise ValueError("no program named")
-    return (program, tuple(args), cloaked, out, jsonl, want_metrics,
-            metrics_out, top, quiet)
+def _parser():
+    parser = cli.command_parser(
+        "trace", "Run a program with the probe bus on; print a cycle "
+        "flame summary and a page-thrash report.")
+    parser.add_argument("program",
+                        help="a registered app, or microbench for the "
+                             "whole syscall microbenchmark suite")
+    parser.add_argument("args", nargs="*",
+                        help="arguments passed to the program")
+    parser.add_argument("--cloaked", action="store_true", default=True,
+                        help="run the program cloaked (the default)")
+    parser.add_argument("--native", dest="cloaked", action="store_false",
+                        help="run the program uncloaked")
+    cli.add_out(parser)
+    parser.add_argument("--jsonl", metavar="PATH",
+                        help="write one JSON object per event to PATH")
+    parser.add_argument("--metrics", action="store_true",
+                        help="print the counter/histogram snapshot")
+    parser.add_argument("--metrics-out", metavar="PATH",
+                        help="write the metrics snapshot to PATH "
+                             "(implies --metrics)")
+    parser.add_argument("--top", type=int, default=10, metavar="N",
+                        help="hottest pages in the thrash report "
+                             "(default: %(default)s)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="skip the flame summary and thrash report")
+    return parser
 
 
 def _run_traced(program: str, args: Tuple[str, ...], cloaked: bool,
@@ -103,51 +85,49 @@ def _run_traced(program: str, args: Tuple[str, ...], cloaked: bool,
 
 
 def main(argv: List[str]) -> int:
-    try:
-        (program, args, cloaked, out, jsonl, want_metrics, metrics_out,
-         top, quiet) = _parse(argv)
-    except (ValueError, IndexError) as exc:
-        print(f"trace: {exc}")
-        print(USAGE)
-        return 2
+    opts, status = cli.parse(_parser(), argv, intermixed=True)
+    if opts is None:
+        return status
 
     try:
         machine, recorder, metrics, profiler, exit_codes = _run_traced(
-            program, args, cloaked, want_metrics)
+            opts.program, tuple(opts.args), opts.cloaked,
+            opts.metrics or opts.metrics_out is not None)
     except KeyError as exc:
         print(f"trace: unknown program {exc}")
         return 2
 
     from repro.obs import export
 
-    world = "cloaked" if cloaked else "native"
+    world = "cloaked" if opts.cloaked else "native"
     distinct = len({name for name, __, __a in recorder.events})
-    print(f"trace: {program} ({world}), {len(recorder.events)} events "
+    print(f"trace: {opts.program} ({world}), {len(recorder.events)} events "
           f"across {distinct} probes, "
           f"{machine.cycles.total:,} virtual cycles")
     failed = [(name, code) for name, code in exit_codes if code != 0]
     for name, code in failed:
         print(f"trace: {name} exited {code}")
 
-    if not quiet:
+    if not opts.quiet:
         print()
         print(profiler.render_flame())
         print()
-        print(profiler.render_thrash(top))
+        print(profiler.render_thrash(opts.top))
         if metrics is not None:
             print()
             print(metrics.render())
 
-    if out is not None:
-        path = export.write_chrome_trace(recorder.events, out)
+    if opts.out is not None:
+        path = export.write_chrome_trace(recorder.events, opts.out)
         print(f"wrote Chrome trace to {path} "
               "(open at https://ui.perfetto.dev; clock = virtual cycles)")
-    if jsonl is not None:
-        path = export.write_jsonl(recorder.events, jsonl)
+    if opts.jsonl is not None:
+        path = export.write_jsonl(recorder.events, opts.jsonl)
         print(f"wrote JSONL trace to {path}")
-    if metrics is not None and metrics_out is not None:
+    if metrics is not None and opts.metrics_out is not None:
         from pathlib import Path
 
-        Path(metrics_out).write_text(metrics.to_json(), encoding="utf-8")
-        print(f"wrote metrics snapshot to {metrics_out}")
+        Path(opts.metrics_out).write_text(metrics.to_json(),
+                                          encoding="utf-8")
+        print(f"wrote metrics snapshot to {opts.metrics_out}")
     return 1 if failed else 0

@@ -73,10 +73,10 @@ class TestCommandLine:
     ])
     def test_missing_or_bad_value_prints_usage(self, argv, capsys):
         assert wallclock.main(argv) == 2
-        out = capsys.readouterr().out
-        assert argv[0] in out
-        assert "usage: python -m repro wallclock" in out
+        err = capsys.readouterr().err
+        assert argv[0] in err
+        assert "usage: python -m repro wallclock" in err
 
     def test_unknown_option_prints_usage(self, capsys):
         assert wallclock.main(["--bogus"]) == 2
-        assert "usage: python -m repro wallclock" in capsys.readouterr().out
+        assert "usage: python -m repro wallclock" in capsys.readouterr().err

@@ -51,8 +51,9 @@ class TestTraceCLI:
 
     def test_missing_program_rejected(self, capsys):
         assert main(["trace", "--cloaked"]) == 2
-        assert "usage" in capsys.readouterr().out
+        assert "usage" in capsys.readouterr().err
 
     def test_unknown_option_rejected(self, capsys):
         assert main(["trace", "mb-read4k", "--frobnicate"]) == 2
-        assert "unknown trace option" in capsys.readouterr().out
+        assert ("unrecognized arguments: --frobnicate"
+                in capsys.readouterr().err)

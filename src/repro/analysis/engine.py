@@ -3,13 +3,9 @@
 The engine is rule-agnostic.  It turns every Python file under the
 analysed paths into a :class:`ModuleInfo` (source, AST, dotted module
 name, scope map, inline suppressions) and hands it to each registered
-rule; rules yield :class:`Finding` objects.  Findings can be silenced
-two ways, both of which require a stated reason:
-
-* inline — ``# repro: allow(RULE-ID) — reason`` on the offending line
-  (or alone on the line above it);
-* baseline — a grandfathered entry in the baseline file (see
-  :mod:`repro.analysis.baseline`).
+rule; rules yield :class:`Finding` objects.  A finding is silenced one
+way only, with a stated reason: ``# repro: allow(RULE-ID) — reason`` on
+the offending line (or alone on the line above it).
 """
 
 import ast
@@ -18,6 +14,14 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import repro
+
+#: The package analysed when no paths are given, and the root that
+#: display paths (hence fingerprints) are relative to: findings read
+#: ``src/repro/...`` whatever the working directory.
+SRC_REPRO = Path(repro.__file__).resolve().parent
+REPO_ROOT = SRC_REPRO.parent.parent
 
 #: Inline suppression syntax.  The reason is mandatory: a bare
 #: ``allow(...)`` with no justification does not suppress anything.
@@ -47,13 +51,14 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Location-drift-tolerant identity used by baseline matching.
+        """Location-drift-tolerant identity, carried in SARIF
+        ``partialFingerprints`` for code-scanning consumers.
 
         Content-anchored (v2): hashes the rule, path, scope, the
         *normalized source line* and the message — never the line
-        number — so edits above a finding do not orphan its baseline
-        entry, while two identical findings on different source lines
-        still get distinct identities.
+        number — so edits above a finding keep its identity, while two
+        identical findings on different source lines still get
+        distinct identities.
         """
         raw = "|".join((self.rule, self.path, self.context, self.snippet,
                         self.message))
@@ -136,7 +141,7 @@ class ModuleInfo:
         """True iff an inline allow covers ``rule_id`` at ``line``.
 
         Matching also marks the covering suppression comment(s) as
-        *used*, which feeds the ``--unused-suppressions`` check.
+        *used*, which feeds the unused-suppression check.
         """
         if rule_id not in self.suppressions.get(line, set()):
             return False
@@ -222,8 +227,6 @@ class Report:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List["BaselineEntry"] = field(default_factory=list)  # noqa: F821
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
     #: (display path, comment line, rule id) for allows that matched no
@@ -233,7 +236,8 @@ class Report:
 
     @property
     def clean(self) -> bool:
-        return not self.findings and not self.stale_baseline and not self.parse_errors
+        return not (self.findings or self.parse_errors
+                    or self.unused_suppressions)
 
 
 class Analyzer:
@@ -251,24 +255,18 @@ class Analyzer:
                 files.append(path)
         return files
 
-    def run(self, paths: Sequence[Path], baseline: Optional["Baseline"] = None,  # noqa: F821
-            root: Optional[Path] = None,
-            check_only: Optional[Set[Path]] = None,
+    def run(self, paths: Sequence[Path], root: Optional[Path] = None,
             collect_unused: bool = False) -> Report:
         """Run every rule over every discovered file.
 
         The run is two-phase: all files parse first, then rules check
         them, so interprocedural rules (which implement
         ``begin_project``) see the *whole* tree before the first
-        per-module verdict.  ``check_only`` restricts which files are
-        rule-checked (``--changed-only``); every discovered file is
-        still parsed and fed to ``begin_project``, because call-graph
-        summaries must cover unchanged callees too.  Stale-baseline
-        detection is skipped under ``check_only`` — fingerprints from
-        unchecked files would otherwise look stale.
+        per-module verdict.  ``collect_unused`` reports allows that
+        matched no finding; it is meaningful only with the full rule
+        set, since an allow for an unselected rule would look unused.
         """
         report = Report()
-        seen_fingerprints: Set[str] = set()
         modules: List[ModuleInfo] = []
         for file_path in self.discover([Path(p) for p in paths]):
             display = _display_path(file_path, root)
@@ -287,20 +285,12 @@ class Analyzer:
             for rule in project_rules:
                 rule.begin_project(project)
 
-        targets = None
-        if check_only is not None:
-            targets = {p.resolve() for p in check_only}
         for mod in modules:
-            if targets is not None and mod.path.resolve() not in targets:
-                continue
             report.files_checked += 1
             for rule in self.rules:
                 for finding in rule.check(mod):
-                    seen_fingerprints.add(finding.fingerprint)
                     if mod.is_suppressed(finding.rule, finding.line):
                         report.suppressed.append(finding)
-                    elif baseline is not None and baseline.covers(finding):
-                        report.baselined.append(finding)
                     else:
                         report.findings.append(finding)
             if collect_unused:
@@ -308,8 +298,6 @@ class Analyzer:
                     for rule_id in sorted(set(sup.rules) - sup.used):
                         report.unused_suppressions.append(
                             (mod.display_path, sup.origin_line, rule_id))
-        if baseline is not None and check_only is None:
-            report.stale_baseline = baseline.stale_entries(seen_fingerprints)
         report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
         report.unused_suppressions.sort()
         return report

@@ -21,12 +21,17 @@ by event:
 Probes never charge cycles, so the replayed workload's virtual-cycle
 total must be bit-identical to the committed ``BENCH_wallclock.json``
 figure — the run fails if attaching the sanitizer moved a single
-cycle.
+cycle, and fails without replaying if there is no committed figure to
+compare against.
 """
 
 import json
+import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
+
+from repro.analysis.engine import REPO_ROOT, SRC_REPRO, Analyzer
+from repro.analysis.rules import get_rules
 
 #: Transition probe -> states it may legally arrive from.
 EXPECT: Dict[str, frozenset] = {
@@ -185,24 +190,25 @@ def sanitize_run(workload: str, out) -> int:
 
     Runs the static STATE001/MMU001 verdict and the dynamic replay,
     prints the differential comparison, and returns an exit code:
-    0 = both clean and cycles match, 1 = any disagreement/violation,
-    2 = usage error (unknown workload).
+    0 = both clean and cycles match, 1 = any disagreement/violation or
+    no committed cycle figure, 2 = usage error (unknown workload, on
+    stderr).
     """
-    from repro.analysis.baseline import Baseline
-    from repro.analysis.config import AnalysisConfig
-    from repro.analysis.engine import Analyzer
-    from repro.analysis.rules import get_rules
-
     if workload != "mb-suite":
         print(f"unknown sanitize workload: {workload} "
-              "(available: mb-suite)", file=out)
+              "(available: mb-suite)", file=sys.stderr)
         return 2
 
+    expected = committed_cycles(REPO_ROOT, workload)
+    if expected is None:
+        print(f"cycles : no committed BENCH_wallclock.json to compare "
+              f"(need a readable {REPO_ROOT / 'BENCH_wallclock.json'} with "
+              f"a {workload} entry)", file=out)
+        return 1
+
     static_rules = ["STATE001", "MMU001"]
-    config = AnalysisConfig.load()
-    baseline = Baseline.load(config.resolved_baseline())
-    report = Analyzer(get_rules(static_rules)).run(
-        config.resolved_paths(), baseline=baseline, root=config.root)
+    report = Analyzer(get_rules(static_rules)).run([SRC_REPRO],
+                                                   root=REPO_ROOT)
     static_clean = not report.findings
     print(f"static : {'/'.join(static_rules)} over "
           f"{report.files_checked} files -> "
@@ -220,12 +226,8 @@ def sanitize_run(workload: str, out) -> int:
     for violation in sink.violations:
         print(f"  {violation}", file=out)
 
-    expected = committed_cycles(config.root or Path.cwd(), workload)
-    cycles_ok = expected is None or cycles == expected
-    if expected is None:
-        print(f"cycles : {cycles} (no committed BENCH_wallclock.json "
-              "to compare)", file=out)
-    elif cycles_ok:
+    cycles_ok = cycles == expected
+    if cycles_ok:
         print(f"cycles : {cycles} == committed {expected} "
               "(sanitizer charged nothing)", file=out)
     else:

@@ -4,9 +4,10 @@ One ``run`` per invocation; rule metadata comes from each ``Rule``'s
 ``summary``.  The payload targets code-scanning consumers (GitHub's
 SARIF upload, VS Code SARIF viewers), so it sticks to the widely
 implemented core: ``tool.driver.rules``, ``results`` with physical
-locations and ``partialFingerprints`` (our baseline fingerprint, which
+locations and ``partialFingerprints`` (the finding fingerprint, which
 is location-drift tolerant by construction), and one ``invocation``
-carrying the success flag plus any parse errors as tool notifications.
+carrying the success flag plus any parse errors and unused
+suppressions as tool notifications.
 """
 
 from typing import List, Sequence
@@ -51,12 +52,11 @@ def as_sarif(report: Report, rules: Sequence[object]) -> dict:
         {"level": "error", "message": {"text": error}}
         for error in report.parse_errors
     ]
-    for entry in report.stale_baseline:
+    for path, line, rule_id in report.unused_suppressions:
         notifications.append({
             "level": "error",
-            "message": {"text": (f"stale baseline entry {entry.fingerprint} "
-                                 f"({entry.rule} {entry.path}): the finding "
-                                 "no longer exists; remove it")},
+            "message": {"text": (f"unused suppression {path}:{line}: allow "
+                                 f"for {rule_id} matched no finding")},
         })
     return {
         "$schema": SARIF_SCHEMA,

@@ -1,9 +1,11 @@
-"""CLI behaviour: exit codes, --json schema, baseline flags."""
+"""CLI behaviour: exit codes, usage errors, the --format json schema."""
 
 import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from repro.analysis.cli import JSON_SCHEMA_VERSION, main
 
@@ -19,6 +21,13 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+def run_cli_stderr(argv, capsys):
+    """Run the CLI for a usage error: the message goes to stderr."""
+    code, text = run_cli(argv)
+    assert text == ""
+    return code, capsys.readouterr().err
+
+
 def make_dirty(tmp_path):
     pkg = tmp_path / "repro" / "hw"
     pkg.mkdir(parents=True)
@@ -29,41 +38,43 @@ def make_dirty(tmp_path):
 def test_clean_tree_exits_zero(tmp_path):
     (tmp_path / "repro").mkdir()
     (tmp_path / "repro" / "ok.py").write_text("x = 1\n")
-    code, text = run_cli([str(tmp_path), "--no-baseline"])
+    code, text = run_cli([str(tmp_path)])
     assert code == 0
     assert "clean" in text
 
 
 def test_findings_exit_one(tmp_path):
     root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--no-baseline"])
+    code, text = run_cli([str(root)])
     assert code == 1
     assert "DET001" in text
     assert "FAILED" in text
 
 
-def test_missing_path_exits_two(tmp_path):
-    code, text = run_cli([str(tmp_path / "nowhere")])
+def test_missing_path_exits_two(tmp_path, capsys):
+    code, text = run_cli_stderr([str(tmp_path / "nowhere")], capsys)
     assert code == 2
     assert "no such path" in text
 
 
-def test_unknown_rule_exits_two_and_names_it(tmp_path):
-    code, text = run_cli([str(tmp_path), "--rules", "NOPE999"])
+def test_unknown_rule_exits_two_and_names_it(tmp_path, capsys):
+    code, text = run_cli_stderr([str(tmp_path), "--rules", "NOPE999"],
+                                capsys)
     assert code == 2
     assert "NOPE999" in text
     assert "SEC002" in text  # the known ids are listed for correction
 
 
-def test_unknown_rule_reported_among_valid_ones(tmp_path):
-    code, text = run_cli([str(tmp_path), "--rules", "TB001,NOPE999,SEC003"])
+def test_unknown_rule_reported_among_valid_ones(tmp_path, capsys):
+    code, text = run_cli_stderr(
+        [str(tmp_path), "--rules", "TB001,NOPE999,SEC003"], capsys)
     assert code == 2
     assert "NOPE999" in text
 
 
 def test_rules_filter(tmp_path):
     root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--no-baseline", "--rules", "TB001"])
+    code, text = run_cli([str(root), "--rules", "TB001"])
     assert code == 0  # DET001 not selected, so the clock read passes
 
 
@@ -76,14 +87,14 @@ def test_list_rules(tmp_path):
 
 def test_json_schema_is_stable(tmp_path):
     root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--no-baseline", "--json"])
+    code, text = run_cli([str(root), "--format", "json"])
     assert code == 1
     payload = json.loads(text)
     assert payload["schema_version"] == JSON_SCHEMA_VERSION
     assert payload["tool"] == "repro.analysis"
     assert set(payload) == {
         "schema_version", "tool", "rules", "files_checked", "findings",
-        "stale_baseline", "parse_errors", "counts", "clean",
+        "unused_suppressions", "parse_errors", "counts", "clean",
     }
     finding = payload["findings"][0]
     assert set(finding) == {
@@ -96,95 +107,51 @@ def test_json_schema_is_stable(tmp_path):
     assert payload["clean"] is False
 
 
-def test_write_baseline_then_clean(tmp_path):
-    root = make_dirty(tmp_path)
-    baseline = tmp_path / "bl.json"
-    code, text = run_cli([str(root), "--baseline", str(baseline),
-                          "--write-baseline", "legacy clock until PR 9"])
-    assert code == 0
-    assert baseline.exists()
-
-    code, text = run_cli([str(root), "--baseline", str(baseline)])
-    assert code == 0
-
-    # Fix the violation: the baseline entry goes stale and fails.
-    (root / "repro" / "hw" / "clock.py").write_text("t = 0\n")
-    code, text = run_cli([str(root), "--baseline", str(baseline)])
-    assert code == 1
-    assert "stale baseline entry" in text
-
-
-def test_write_baseline_requires_reason(tmp_path):
-    root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--write-baseline", "  "])
-    assert code == 2
-
-
 def test_format_sarif_flag(tmp_path):
     root = make_dirty(tmp_path)
-    code, text = run_cli([str(root), "--no-baseline", "--format", "sarif"])
+    code, text = run_cli([str(root), "--format", "sarif"])
     assert code == 1
     doc = json.loads(text)
     assert doc["version"] == "2.1.0"
     assert doc["runs"][0]["results"][0]["ruleId"] == "DET001"
 
 
-def test_json_flag_is_an_alias_for_format_json(tmp_path):
-    root = make_dirty(tmp_path)
-    _, via_json = run_cli([str(root), "--no-baseline", "--json"])
-    _, via_format = run_cli([str(root), "--no-baseline", "--format", "json"])
-    assert json.loads(via_json) == json.loads(via_format)
-
-
-def _git(root, *args):
-    subprocess.run(
-        ["git", "-C", str(root), "-c", "user.email=t@t", "-c",
-         "user.name=t", *args],
-        check=True, capture_output=True)
-
-
-def test_changed_only_checks_only_changed_files(tmp_path, monkeypatch):
-    root = make_dirty(tmp_path)
-    (root / "pyproject.toml").write_text(
-        "[tool.repro-analysis]\npaths = [\"repro\"]\n")
-    (root / "repro" / "hw" / "stable.py").write_text("x = 1\n")
-    _git(root, "init", "-q")
-    _git(root, "add", "-A")
-    _git(root, "commit", "-qm", "seed")
-    monkeypatch.chdir(root)
-
-    # Nothing changed: nothing rule-checked, exit 0.
-    code, text = run_cli(["--no-baseline", "--changed-only"])
-    assert code == 0
-    assert "0 finding(s)" in text
-
-    # Touch only the clock module: its DET001 comes back, stable.py
-    # stays out of the checked count.
-    clock = root / "repro" / "hw" / "clock.py"
-    clock.write_text(clock.read_text() + "u = time.time()\n")
-    code, text = run_cli(["--no-baseline", "--changed-only"])
-    assert code == 1
-    assert "DET001" in text
-    assert "1 files" in text
-
-    # Untracked files count as changed too.
-    (root / "repro" / "hw" / "fresh.py").write_text("y = 2\n")
-    code, text = run_cli(["--no-baseline", "--changed-only"])
-    assert "2 files" in text
-
-
-def test_changed_only_bad_ref_exits_two(tmp_path, monkeypatch):
-    root = make_dirty(tmp_path)
-    (root / "pyproject.toml").write_text(
-        "[tool.repro-analysis]\npaths = [\"repro\"]\n")
-    _git(root, "init", "-q")
-    _git(root, "add", "-A")
-    _git(root, "commit", "-qm", "seed")
-    monkeypatch.chdir(root)
-    code, text = run_cli(["--no-baseline", "--changed-only",
-                          "--since", "no-such-ref"])
+@pytest.mark.parametrize("argv", [
+    ["--bogus"],
+    ["--rules", "NOPE999"],
+    ["no/such/dir"],
+])
+def test_usage_errors_exit_two_on_stderr(argv, capsys):
+    """Malformed argv returns 2 (never raises SystemExit), prints the
+    error on stderr, and writes nothing to stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 2
-    assert "error:" in text
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_default_paths_do_not_depend_on_cwd(tmp_path, monkeypatch):
+    """With no paths the installed package is analysed, from anywhere."""
+    monkeypatch.chdir(tmp_path)
+    code, text = run_cli([])
+    assert code == 0, text
+    assert "repro.analysis: clean" in text
+
+
+def test_unused_allow_fails_only_the_full_rule_set(tmp_path):
+    pkg = tmp_path / "repro" / "hw"
+    pkg.mkdir(parents=True)
+    (pkg / "fine.py").write_text(
+        "# repro: allow(DET001) — nothing here reads a clock\nx = 1\n")
+    code, text = run_cli([str(tmp_path)])
+    assert code == 1
+    assert "fine.py:1: allow for DET001 matched no finding" in text
+    assert "FAILED" in text
+    # A narrowed run cannot tell an unused allow from one for an
+    # unselected rule, so it does not check them.
+    code, text = run_cli([str(tmp_path), "--rules", "TB001"])
+    assert code == 0, text
 
 
 def test_module_entry_point_runs():

@@ -2,6 +2,7 @@
 
 import io
 
+from repro.analysis import sanitize
 from repro.analysis.sanitize import (EXPECT, RESULT, CoherenceChecker,
                                      SanitizerSink, TransitionChecker,
                                      sanitize_run)
@@ -111,21 +112,25 @@ def test_sink_dispatch_routes_probes():
     assert sink.violations == []
 
 
-def test_unknown_workload_exits_two():
+def test_unknown_workload_exits_two(capsys):
     out = io.StringIO()
     assert sanitize_run("no-such-suite", out) == 2
-    assert "unknown sanitize workload" in out.getvalue()
+    assert out.getvalue() == ""
+    assert "unknown sanitize workload" in capsys.readouterr().err
 
 
-def test_mb_suite_differential_run_agrees(monkeypatch):
+def test_missing_committed_cycles_fails(tmp_path, monkeypatch):
+    """Without a committed figure the run cannot show the sanitizer is
+    cycle-neutral, so it fails instead of passing unchecked."""
+    monkeypatch.setattr(sanitize, "REPO_ROOT", tmp_path)
+    out = io.StringIO()
+    assert sanitize_run("mb-suite", out) == 1
+    assert "no committed BENCH_wallclock.json to compare" in out.getvalue()
+
+
+def test_mb_suite_differential_run_agrees():
     """End to end: static clean, dynamic clean, cycles bit-identical
     to the committed BENCH_wallclock.json."""
-    from pathlib import Path
-
-    import repro
-
-    repo_root = Path(repro.__file__).resolve().parent.parent.parent
-    monkeypatch.chdir(repo_root)
     out = io.StringIO()
     code = sanitize_run("mb-suite", out)
     text = out.getvalue()

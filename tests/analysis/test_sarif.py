@@ -22,7 +22,7 @@ def make_dirty(tmp_path):
 
 def test_sarif_shape_on_findings(tmp_path):
     root = make_dirty(tmp_path)
-    code, doc = run_sarif([str(root), "--no-baseline"])
+    code, doc = run_sarif([str(root)])
     assert code == 1
 
     assert doc["version"] == SARIF_VERSION
@@ -56,7 +56,7 @@ def test_sarif_shape_on_findings(tmp_path):
 def test_sarif_clean_run(tmp_path):
     (tmp_path / "repro").mkdir()
     (tmp_path / "repro" / "ok.py").write_text("x = 1\n")
-    code, doc = run_sarif([str(tmp_path), "--no-baseline"])
+    code, doc = run_sarif([str(tmp_path)])
     assert code == 0
     run = doc["runs"][0]
     assert run["results"] == []
@@ -66,8 +66,34 @@ def test_sarif_clean_run(tmp_path):
 def test_sarif_reports_parse_errors_as_notifications(tmp_path):
     (tmp_path / "repro").mkdir()
     (tmp_path / "repro" / "broken.py").write_text("def oops(:\n")
-    code, doc = run_sarif([str(tmp_path), "--no-baseline"])
+    code, doc = run_sarif([str(tmp_path)])
     assert code == 1
     notes = doc["runs"][0]["invocations"][0]["toolExecutionNotifications"]
     assert len(notes) == 1
     assert "broken.py" in notes[0]["message"]["text"]
+
+
+def test_sarif_reports_unused_suppressions_as_notifications(tmp_path):
+    (tmp_path / "repro").mkdir()
+    (tmp_path / "repro" / "ok.py").write_text(
+        "x = 1  # repro: allow(DET001) — nothing to allow\n")
+    code, doc = run_sarif([str(tmp_path)])
+    assert code == 1
+    invocation = doc["runs"][0]["invocations"][0]
+    assert invocation["executionSuccessful"] is False
+    (note,) = invocation["toolExecutionNotifications"]
+    assert "unused suppression" in note["message"]["text"]
+
+
+def test_fingerprint_survives_line_drift(tree):
+    """partialFingerprints keep a finding's identity when unrelated code
+    above it shifts its line."""
+    from repro.analysis.rules import get_rules
+
+    source = "import time\nt = time.time()\n"
+    tree.write("repro/hw/drift.py", source)
+    before = tree.run(get_rules()).findings[0]
+    tree.write("repro/hw/drift.py", "PAD = 1\nPAD2 = 2\n" + source)
+    after = tree.run(get_rules()).findings[0]
+    assert before.line != after.line
+    assert before.fingerprint == after.fingerprint

@@ -139,11 +139,14 @@ def test_real_tree_suppressions_are_justified():
     """Every inline allow in src/repro carries a reason (inert allows
     would silently stop suppressing)."""
     import re
-    from pathlib import Path
+
+    from repro.analysis.engine import SRC_REPRO
 
     bare = re.compile(r"#\s*repro:\s*allow\([^)]*\)\s*$")
     offenders = []
-    for path in Path("src/repro").rglob("*.py"):
+    paths = sorted(SRC_REPRO.rglob("*.py"))
+    assert paths, f"no sources found under {SRC_REPRO}"
+    for path in paths:
         for lineno, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines(), start=1):
             if bare.search(line):

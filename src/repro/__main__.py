@@ -8,7 +8,7 @@ Usage::
     python -m repro fuzz           # seeded differential fuzzing campaign
     python -m repro serve          # open-loop cluster serving -> JSON report
     python -m repro trace PROGRAM  # probe-bus trace -> Perfetto JSON
-    python -m repro wallclock      # host-speed harness -> BENCH_wallclock.json
+    python -m repro cycles         # check the virtual-cycle ledger CYCLES.json
 
 ``python -m repro <command> --help`` lists each command's flags.
 """
@@ -92,8 +92,8 @@ COMMANDS = {
     "faults": "repro.bench.exp_faults:faults_main",
     "fuzz": "repro.bench.exp_fuzz:fuzz_main",
     "serve": "repro.bench.exp_cluster:serve_main",
+    "cycles": "repro.bench.cycles:main",
     "trace": "repro.obs.cli:main",
-    "wallclock": "repro.bench.wallclock:main",
 }
 
 

@@ -32,11 +32,11 @@ rule semantics are auditable:
 
 Public surface: :func:`build_cfg`, :class:`CFG` (``block_of``,
 ``enclosing_block``, ``successors``, ``dominates``,
-``postdominates``, ``statements``).
+``postdominates``).
 """
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 #: Edge labels.  ``None`` is plain fallthrough.
 TRUE = "true"
@@ -112,9 +112,6 @@ class CFG:
         self.blocks = blocks
         self.entry = entry
         self.exit = exit_index
-        self._block_of: Dict[int, int] = {
-            b.index: b.index for b in blocks
-        }
         self._stmt_block: Dict[int, int] = {}
         for b in blocks:
             if b.stmt is not None:
@@ -131,12 +128,6 @@ class CFG:
 
     def predecessors(self, index: int) -> Sequence[Edge]:
         return self.blocks[index].preds
-
-    def statements(self) -> Iterator[Tuple[int, ast.stmt]]:
-        """Every (block index, statement) pair, in construction order."""
-        for b in self.blocks:
-            if b.stmt is not None:
-                yield b.index, b.stmt
 
     def block_of(self, stmt: ast.stmt) -> Optional[int]:
         """Block carrying ``stmt`` itself (not its substatements)."""

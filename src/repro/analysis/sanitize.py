@@ -19,19 +19,18 @@ by event:
   at workload end are violations too.
 
 Probes never charge cycles, so the replayed workload's virtual-cycle
-total must be bit-identical to the committed ``BENCH_wallclock.json``
-figure — the run fails if attaching the sanitizer moved a single
-cycle, and fails without replaying if there is no committed figure to
-compare against.
+total must be bit-identical to its figure in the cycle ledger
+(``repro.bench.cycles``) — the run fails if attaching the sanitizer
+moved a single cycle, and fails without replaying if there is no
+committed figure to compare against.
 """
 
-import json
 import sys
-from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.engine import REPO_ROOT, SRC_REPRO, Analyzer
 from repro.analysis.rules import get_rules
+from repro.bench import cycles as ledger
 
 #: Transition probe -> states it may legally arrive from.
 EXPECT: Dict[str, frozenset] = {
@@ -155,34 +154,13 @@ class SanitizerSink:
         return self.transitions.events + self.coherence.events
 
 
-def replay_mb_suite(sink: SanitizerSink) -> int:
-    """Run the mb-suite workload with ``sink`` attached; returns the
-    summed virtual-cycle total (must match BENCH_wallclock.json)."""
-    from repro.apps.microbench import MICRO_SUITE
-    from repro.bench.runner import fresh_machine, measure_program
-    from repro.obs import bus
-
-    machine = fresh_machine(cloaked=True)
-    bus.attach(sink, machine.cycles)
+def committed_cycles(workload: str) -> Optional[int]:
+    """The ledger's total for ``workload``; ``None`` when the ledger is
+    unreadable or has no such total."""
     try:
-        cycles = 0
-        for program_cls in MICRO_SUITE:
-            result = measure_program(machine, program_cls.name, ())
-            cycles += result.cycles_total
-    finally:
-        bus.detach(sink)
-    sink.coherence.finish()
-    return cycles
-
-
-def committed_cycles(root: Path, workload: str) -> Optional[int]:
-    path = root / "BENCH_wallclock.json"
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+        return ledger.committed_cycles(workload)
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    entry = report.get("workloads", {}).get(workload)
-    return entry.get("cycles") if isinstance(entry, dict) else None
 
 
 def sanitize_run(workload: str, out) -> int:
@@ -199,11 +177,11 @@ def sanitize_run(workload: str, out) -> int:
               "(available: mb-suite)", file=sys.stderr)
         return 2
 
-    expected = committed_cycles(REPO_ROOT, workload)
+    expected = committed_cycles(workload)
     if expected is None:
-        print(f"cycles : no committed BENCH_wallclock.json to compare "
-              f"(need a readable {REPO_ROOT / 'BENCH_wallclock.json'} with "
-              f"a {workload} entry)", file=out)
+        print(f"cycles : no committed cycle ledger to compare (need a "
+              f"readable {ledger.LEDGER} with a {workload} total)",
+              file=out)
         return 1
 
     static_rules = ["STATE001", "MMU001"]
@@ -218,7 +196,8 @@ def sanitize_run(workload: str, out) -> int:
         print(f"  {finding.render()}", file=out)
 
     sink = SanitizerSink()
-    cycles = replay_mb_suite(sink)
+    cycles = ledger.mb_suite_cycles(sink)
+    sink.coherence.finish()
     dynamic_clean = not sink.violations
     print(f"dynamic: {workload} replay, {sink.events} events -> "
           + ("clean" if dynamic_clean

@@ -252,9 +252,9 @@ class Machine:
             executed += self._run_slice(proc)
             if bus.ACTIVE:
                 # Per-slice aggregate of the TLB's fast-path counters:
-                # per-hit probes would swamp the bus (and the wallclock
-                # budget); cumulative totals at slice boundaries carry
-                # the same information.
+                # per-hit probes would swamp the bus (and cost a call
+                # per hit with no sink attached); cumulative totals at
+                # slice boundaries carry the same information.
                 bus.tlb_hits(self.tlb.hits, self.tlb.misses)
         raise RuntimeError(f"machine did not quiesce within {max_ops} ops")
 
@@ -354,7 +354,7 @@ class Machine:
         # anything unrecognised falls back to `_execute_op`, which
         # preserves the original isinstance chain and its TypeError.
         # Costs, charge order, and timeslice boundaries are untouched —
-        # the cycle ledger stays bit-identical (wallclock --check).
+        # the cycle ledger stays bit-identical (`repro cycles`).
         next_op = proc.runtime.next_op
         user_memory = self._user_memory
         execute = cpu.execute

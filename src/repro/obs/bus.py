@@ -28,8 +28,8 @@ the sinks stay out of the TCB's import graph.
 
 Probes never charge cycles, never mutate machine state, and carry only
 plain ints/strings — attaching and detaching a sink leaves the
-virtual-cycle ledger bit-identical (the determinism tests and the
-``BENCH_wallclock.json`` hash prove it).
+virtual-cycle ledger bit-identical (the determinism tests and
+``python -m repro cycles`` prove it).
 
 Sink protocol::
 

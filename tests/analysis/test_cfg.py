@@ -21,9 +21,9 @@ def cfg_of(source):
 
 def block_at(cfg, lineno):
     """Block carrying the statement that *starts* at ``lineno``."""
-    for index, stmt in cfg.statements():
-        if stmt.lineno == lineno:
-            return index
+    for block in cfg.blocks:
+        if block.stmt is not None and block.stmt.lineno == lineno:
+            return block.index
     raise AssertionError(f"no statement starts at line {lineno}")
 
 

@@ -174,7 +174,7 @@ def test_real_harness_modules_are_clean():
 
     from repro.analysis.engine import ModuleInfo
 
-    for rel in ("src/repro/bench/runner.py", "src/repro/bench/wallclock.py",
+    for rel in ("src/repro/bench/runner.py", "src/repro/bench/cycles.py",
                 "src/repro/faults/oracle.py", "src/repro/gen/driver.py"):
         path = Path(rel)
         mod = ModuleInfo(path, str(path), path.read_text(encoding="utf-8"))

@@ -2,10 +2,10 @@
 
 import io
 
-from repro.analysis import sanitize
 from repro.analysis.sanitize import (EXPECT, RESULT, CoherenceChecker,
                                      SanitizerSink, TransitionChecker,
                                      sanitize_run)
+from repro.bench import cycles
 from repro.core.metadata import CloakState
 from repro.obs import bus
 
@@ -122,15 +122,15 @@ def test_unknown_workload_exits_two(capsys):
 def test_missing_committed_cycles_fails(tmp_path, monkeypatch):
     """Without a committed figure the run cannot show the sanitizer is
     cycle-neutral, so it fails instead of passing unchecked."""
-    monkeypatch.setattr(sanitize, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(cycles, "LEDGER", tmp_path / "CYCLES.json")
     out = io.StringIO()
     assert sanitize_run("mb-suite", out) == 1
-    assert "no committed BENCH_wallclock.json to compare" in out.getvalue()
+    assert "no committed cycle ledger to compare" in out.getvalue()
 
 
 def test_mb_suite_differential_run_agrees():
     """End to end: static clean, dynamic clean, cycles bit-identical
-    to the committed BENCH_wallclock.json."""
+    to the committed cycle ledger."""
     out = io.StringIO()
     code = sanitize_run("mb-suite", out)
     text = out.getvalue()

@@ -8,7 +8,7 @@ tamper, or replay, and the VMM every opportunity to catch it.
 
 from repro.apps.program import Program, UserContext
 
-#: The secret the attack suite greps for.
+#: The secret the victims hold.
 SECRET = b"CLASSIFIED-PAYROLL-DB-KEY-0xC0FFEE"
 
 #: Register the victim parks a secret value in.
@@ -23,6 +23,8 @@ class SecretHolder(Program):
     """
 
     name = "secretholder"
+    #: What an attacker must never observe (the attack suite's matcher).
+    MARKER = SECRET[:16]
 
     def __init__(self):
         self.secret_vaddr = None
@@ -67,6 +69,7 @@ class SecretFileWriter(Program):
     name = "secretfilewriter"
 
     RECORD = b"SECRET-LEDGER-ROW"
+    MARKER = RECORD
 
     def main(self, ctx: UserContext):
         from repro.guestos import uapi
@@ -103,6 +106,7 @@ class SecretWriter(Program):
     """
 
     name = "secretwriter"
+    MARKER = SECRET[:16]
 
     def __init__(self):
         self.secret_vaddr = None

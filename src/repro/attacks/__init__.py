@@ -3,17 +3,19 @@
 Each attack plays the compromised kernel against a victim process:
 it manipulates exactly the state a real kernel controls (page tables,
 kernel-context memory access, the disk, scheduling, register state at
-traps) and reports one of three outcomes:
+traps), resumes the world, and hands the run to one rule,
+:meth:`Attack.verdict`, which checks in order:
 
-* ``LEAKED``    — the attacker observed victim plaintext (a defence
-  failure, expected only for the uncloaked baseline);
-* ``DETECTED``  — the VMM refused/flagged the manipulation;
-* ``DEFEATED``  — the attacker got only ciphertext / scrubbed state
-  and the victim kept running correctly.
-
-``OUT_OF_SCOPE`` marks attacks the paper explicitly does not defend
-against (e.g. a kernel lying through *unprotected* syscall channels),
-kept in the table for honesty about the trust boundary.
+1. the attacker observed victim plaintext (the victim program's
+   ``MARKER``, or the secret register value) — ``LEAKED``;
+2. the VMM raised a violation — ``DETECTED``;
+3. the victim printed ``intact`` — ``DEFEATED`` (the attacker got only
+   ciphertext or scrubbed state, or its change never reached the
+   victim);
+4. otherwise the victim was corrupted without any alarm — the attack's
+   ``silent_outcome``: ``LEAKED`` by default, ``OUT_OF_SCOPE`` for a
+   kernel lying through an *unprotected* syscall channel, which the
+   paper's threat model explicitly does not cover.
 """
 
 from repro.attacks.base import Attack, AttackOutcome, AttackReport

@@ -1,9 +1,7 @@
-"""Common scaffolding for the attack suite."""
+"""Common scaffolding for the attack suite, including its one verdict."""
 
 import enum
-from typing import Optional
 
-from repro.apps.secrets import SECRET
 from repro.guestos.process import Process
 from repro.hw.mmu import MODE_KERNEL, SYSTEM_VIEW
 from repro.machine import Machine
@@ -36,9 +34,32 @@ class Attack:
 
     name = "attack"
     description = ""
+    #: Outcome when nothing leaked, nothing was flagged, and the victim
+    #: still did not finish intact: it computed on corrupted state
+    #: without any alarm.
+    silent_outcome = AttackOutcome.LEAKED
 
     def run(self, machine: Machine, victim: Process) -> AttackReport:
         raise NotImplementedError
+
+    def verdict(self, machine: Machine, victim: Process, final: str,
+                leaked: bool = False, detail: str = "") -> AttackReport:
+        """The one rule that turns an attack run into an outcome.
+
+        Plaintext seen by the attacker is a leak; otherwise a VMM
+        violation is a detection; otherwise a victim that printed
+        ``intact`` defeated the attack; otherwise the victim was
+        silently corrupted (``silent_outcome``).
+        """
+        if leaked:
+            outcome = AttackOutcome.LEAKED
+        elif machine.violations:
+            outcome = AttackOutcome.DETECTED
+        elif "intact" in final:
+            outcome = AttackOutcome.DEFEATED
+        else:
+            outcome = self.silent_outcome
+        return AttackReport(self.name, victim.cloaked, outcome, detail)
 
     # -- helpers usable by any attack (kernel-level powers) -------------------
 
@@ -56,6 +77,12 @@ class Attack:
         machine.mmu.write(vaddr, data)
 
     @staticmethod
+    def read_disk(machine: Machine) -> bytes:
+        """Every block of the disk, in LBA order."""
+        return b"".join(machine.disk.read_block(lba)
+                        for lba in range(machine.disk.num_blocks))
+
+    @staticmethod
     def secret_vaddr(machine: Machine, victim: Process) -> int:
         """Where the victim program put its secret (the attacker can
         learn this from access patterns; we just ask the program)."""
@@ -65,11 +92,12 @@ class Attack:
         return vaddr
 
     @staticmethod
-    def observed_plaintext(data: bytes) -> bool:
-        return SECRET[:16] in data
+    def observed_plaintext(victim: Process, data: bytes) -> bool:
+        """Whether ``data`` holds the marker the victim program guards."""
+        return victim.runtime.program.MARKER in data
 
     @staticmethod
-    def finish(machine: Machine, victim: Process) -> Optional[str]:
+    def finish(machine: Machine, victim: Process) -> str:
         """Resume the world; returns the victim's final console text."""
         machine.run()
         return machine.kernel.console.text_of(victim.pid)

@@ -8,7 +8,7 @@ re-injection fails verification at CHANNEL_OPEN.
 
 from repro.apps.program import Program
 from repro.apps.secrets import SECRET
-from repro.attacks.base import Attack, AttackOutcome, AttackReport
+from repro.attacks.base import Attack, AttackReport
 from repro.guestos import uapi
 from repro.guestos.pipes import Pipe
 from repro.guestos.process import Process
@@ -22,6 +22,7 @@ class SecretChannelPair(Program):
     """
 
     name = "secretchannelpair"
+    MARKER = SECRET[:16]
 
     def child(self, ctx, path_vaddr, path_len):
         fd = yield ctx.open(path_vaddr, path_len, uapi.O_RDONLY)
@@ -81,16 +82,10 @@ class ChannelSniff(_PipeInterposer):
             captured.extend(data)
 
         final = self._with_pipe_hook(machine, victim, on_write)
-        leaked = SECRET in bytes(captured)
-        detail = f"captured={len(captured)}B, victim: {final.strip()!r}"
-        if leaked:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, detail)
-        if "intact" not in final and not machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.DEFEATED, detail)
+        return self.verdict(
+            machine, victim, final,
+            leaked=self.observed_plaintext(victim, bytes(captured)),
+            detail=f"captured={len(captured)}B, victim: {final.strip()!r}")
 
 
 class ChannelTamper(_PipeInterposer):
@@ -106,13 +101,6 @@ class ChannelTamper(_PipeInterposer):
                 state["tampered"] = True
 
         final = self._with_pipe_hook(machine, victim, on_write)
-        detail = f"tampered={state['tampered']}, victim: {final.strip()!r}"
-        if machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        if "intact" in final:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DEFEATED, detail)
-        # The peer consumed altered data without any alarm.
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.LEAKED, detail)
+        return self.verdict(
+            machine, victim, final,
+            detail=f"tampered={state['tampered']}, victim: {final.strip()!r}")

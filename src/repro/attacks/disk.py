@@ -6,12 +6,9 @@ to come from the data itself: pages reach the device already encrypted
 back in.
 """
 
-from repro.attacks.base import Attack, AttackOutcome, AttackReport
+from repro.attacks.base import Attack, AttackReport
 from repro.guestos.process import Process
 from repro.machine import Machine
-
-#: Written by the victim file program before the attack window.
-SECRET_FILE_CONTENT = b"SECRET-LEDGER-ROW"
 
 
 class DiskScrape(Attack):
@@ -23,20 +20,12 @@ class DiskScrape(Attack):
         for inode in machine.kernel.fs.all_inodes():
             if inode.itype.value == "regular":
                 machine.kernel.fs.writeback(inode)
-        observed = b"".join(
-            machine.disk.read_block(lba)
-            for lba in range(machine.disk.num_blocks)
-            if machine.disk.reads < 10_000
-        )
-        leaked = SECRET_FILE_CONTENT in observed
+        leaked = self.observed_plaintext(victim, self.read_disk(machine))
         final = self.finish(machine, victim)
-        detail = f"scanned {machine.disk.num_blocks} blocks"
-        if leaked:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.DEFEATED,
-                            detail + f", victim: {final.strip()!r}")
+        return self.verdict(
+            machine, victim, final, leaked=leaked,
+            detail=(f"scanned {machine.disk.num_blocks} blocks, "
+                    f"victim: {final.strip()!r}"))
 
 
 class PageCacheScrape(Attack):
@@ -50,11 +39,7 @@ class PageCacheScrape(Attack):
                 # Honest kernels use DMA/the MMU; the strongest attacker
                 # reads the frame as the device would.
                 observed += machine.dma.read_frame(pfn)
-        leaked = SECRET_FILE_CONTENT in bytes(observed)
+        leaked = self.observed_plaintext(victim, bytes(observed))
         final = self.finish(machine, victim)
-        if leaked:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, "plaintext in page cache")
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.DEFEATED,
-                            f"victim: {final.strip()!r}")
+        return self.verdict(machine, victim, final, leaked=leaked,
+                            detail=f"victim: {final.strip()!r}")

@@ -16,7 +16,7 @@ remap-substitute       LEAKED     DETECTED
 register-scrape        LEAKED     DEFEATED
 disk-scrape            LEAKED     DEFEATED
 pagecache-scrape       LEAKED     DEFEATED
-syscall-lie-protected  OUT/LEAK   DEFEATED
+syscall-lie-protected  LEAKED     DEFEATED
 syscall-lie-unprot.    OUT        OUT
 swap-scrape            LEAKED     DEFEATED
 swap-tamper            LEAKED     DETECTED
@@ -25,10 +25,10 @@ channel-tamper         LEAKED     DETECTED
 =====================  =========  ==========
 
 (*) native remap "leaks" in the integrity sense: the victim silently
-computes on the wrong page.
+computes on the wrong page (the verdict's ``silent_outcome``).
 """
 
-from typing import List, Optional, Tuple, Type
+from typing import List, Tuple, Type
 
 from repro.apps.secrets import SecretFileWriter, SecretHolder, SecretWriter
 from repro.attacks.base import Attack, AttackReport

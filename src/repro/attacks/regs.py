@@ -7,7 +7,7 @@ also must not be able to *plant* register values for the resume path.
 """
 
 from repro.apps.secrets import SECRET_REG, SECRET_REG_VALUE
-from repro.attacks.base import Attack, AttackOutcome, AttackReport
+from repro.attacks.base import Attack, AttackReport
 from repro.guestos.process import Process
 from repro.machine import Machine
 
@@ -29,12 +29,6 @@ class RegisterScrape(Attack):
             victim.saved_regs[SECRET_REG] = 0xBAD
 
         final = self.finish(machine, victim)
-        detail = f"observed={observed:#x}, victim: {final.strip()!r}"
-        if leaked:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, detail)
-        if "intact" not in final:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.DEFEATED, detail)
+        return self.verdict(
+            machine, victim, final, leaked=leaked,
+            detail=f"observed={observed:#x}, victim: {final.strip()!r}")

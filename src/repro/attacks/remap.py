@@ -5,7 +5,7 @@ at a kernel-controlled frame) is fully within the OS's architectural
 power; the MAC's binding to the page's identity is what must catch it.
 """
 
-from repro.attacks.base import Attack, AttackOutcome, AttackReport
+from repro.attacks.base import Attack, AttackReport
 from repro.guestos.process import Process
 from repro.machine import Machine
 
@@ -25,8 +25,7 @@ class PageSwap(Attack):
             None,
         )
         if other_vpn is None:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DEFEATED, "no sibling page")
+            raise RuntimeError("victim has no sibling data page to swap")
         pfn_a, pfn_b = mapped[secret_vpn], mapped[other_vpn]
         # Force both to their system-visible form first (legal).
         self.kernel_read(machine, victim, secret_vpn << 12, 1)
@@ -35,15 +34,9 @@ class PageSwap(Attack):
         victim.aspace.map_page(other_vpn, pfn_a, writable=True)
 
         final = self.finish(machine, victim)
-        detail = f"swapped vpn {secret_vpn:#x} <-> {other_vpn:#x}"
-        if machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        if "intact" in final:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DEFEATED, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.LEAKED, detail)
+        return self.verdict(
+            machine, victim, final,
+            detail=f"swapped vpn {secret_vpn:#x} <-> {other_vpn:#x}")
 
 
 class FrameSubstitution(Attack):
@@ -58,12 +51,5 @@ class FrameSubstitution(Attack):
         victim.aspace.map_page(secret_vpn, evil_pfn, writable=True)
 
         final = self.finish(machine, victim)
-        detail = f"substituted frame {evil_pfn}"
-        if machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        if "intact" in final:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DEFEATED, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.LEAKED, detail)
+        return self.verdict(machine, victim, final,
+                            detail=f"substituted frame {evil_pfn}")

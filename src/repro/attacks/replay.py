@@ -6,7 +6,7 @@ then rolls the frame back to the snapshot.  Freshness metadata
 (version counters in the MAC) must reject the stale ciphertext.
 """
 
-from repro.attacks.base import Attack, AttackOutcome, AttackReport
+from repro.attacks.base import Attack, AttackReport
 from repro.core.errors import FreshnessViolation
 from repro.guestos.process import Process
 from repro.machine import Machine
@@ -34,13 +34,7 @@ class Rollback(Attack):
         final = self.finish(machine, victim)
         freshness = any(isinstance(v.error, FreshnessViolation)
                         for v in machine.violations)
-        detail = (f"freshness_violation={freshness}, "
-                  f"victim: {final.strip().splitlines()[-1]!r}")
-        if machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        if "ROLLBACK OBSERVED" in final:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.DEFEATED, detail)
+        return self.verdict(
+            machine, victim, final,
+            detail=(f"freshness_violation={freshness}, "
+                    f"victim: {final.strip().splitlines()[-1]!r}"))

@@ -6,7 +6,7 @@ kernel-context read triggers the encrypt transition and observes only
 ciphertext; the victim then continues and still sees its own data.
 """
 
-from repro.attacks.base import Attack, AttackOutcome, AttackReport
+from repro.attacks.base import Attack, AttackReport
 from repro.apps.secrets import SECRET
 from repro.guestos.process import Process
 from repro.machine import Machine
@@ -19,20 +19,12 @@ class MemoryScrape(Attack):
     def run(self, machine: Machine, victim: Process) -> AttackReport:
         vaddr = self.secret_vaddr(machine, victim)
         observed = self.kernel_read(machine, victim, vaddr, len(SECRET))
-        leaked = self.observed_plaintext(observed)
+        leaked = self.observed_plaintext(victim, observed)
 
         final = self.finish(machine, victim)
-        detail = f"observed={observed[:8].hex()}..., victim: {final.strip()!r}"
-        if leaked:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, detail)
-        if "intact" not in final:
-            # Not a leak, but the victim was broken — count as detected
-            # (the VMM raised) rather than silently wrong.
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.DEFEATED, detail)
+        return self.verdict(
+            machine, victim, final, leaked=leaked,
+            detail=f"observed={observed[:8].hex()}..., victim: {final.strip()!r}")
 
 
 class FullSweep(Attack):
@@ -47,15 +39,9 @@ class FullSweep(Attack):
         for vpn, __ in victim.aspace.mapped_pages():
             data = self.kernel_read(machine, victim, vpn << 12, 4096)
             scanned += 1
-            if self.observed_plaintext(data):
+            if self.observed_plaintext(victim, data):
                 leaked_pages += 1
         final = self.finish(machine, victim)
-        detail = f"scanned={scanned}, leaked_pages={leaked_pages}"
-        if leaked_pages:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, detail)
-        if "intact" not in final:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.DEFEATED, detail)
+        return self.verdict(
+            machine, victim, final, leaked=leaked_pages > 0,
+            detail=f"scanned={scanned}, leaked_pages={leaked_pages}")

@@ -7,8 +7,7 @@ Cloaked pages cross the DMA interposition on the way out, so the swap
 holds only ciphertext.
 """
 
-from repro.apps.secrets import SECRET
-from repro.attacks.base import Attack, AttackOutcome, AttackReport
+from repro.attacks.base import Attack, AttackReport
 from repro.guestos.process import Process
 from repro.machine import Machine
 
@@ -19,24 +18,11 @@ class SwapScrape(Attack):
 
     def run(self, machine: Machine, victim: Process) -> AttackReport:
         evicted = machine.kernel.reclaimer.reclaim(200)
-        observed = b"".join(
-            machine.disk.read_block(lba)
-            for lba in range(machine.disk.num_blocks)
-        )
-        leaked = SECRET in observed
+        leaked = self.observed_plaintext(victim, self.read_disk(machine))
         final = self.finish(machine, victim)
-        detail = f"evicted={evicted}, victim: {final.strip().splitlines()[-1]!r}"
-        if leaked:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, detail)
-        if "intact" not in final and not machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.LEAKED, detail + " (corrupted)")
-        if machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.DEFEATED, detail)
+        return self.verdict(
+            machine, victim, final, leaked=leaked,
+            detail=f"evicted={evicted}, victim: {final.strip().splitlines()[-1]!r}")
 
 
 class SwapTamper(Attack):
@@ -56,14 +42,7 @@ class SwapTamper(Attack):
                 machine.disk.write_block(lba, bytes(mutated))
                 tampered += 1
         final = self.finish(machine, victim)
-        detail = f"evicted={evicted}, tampered_blocks={tampered}"
-        if machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        if "intact" in final:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DEFEATED, detail)
-        # Victim consumed corrupted data (or detected it itself).
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.LEAKED,
-                            detail + f", victim: {final.strip()!r}")
+        return self.verdict(
+            machine, victim, final,
+            detail=(f"evicted={evicted}, tampered_blocks={tampered}, "
+                    f"victim: {final.strip()!r}"))

@@ -37,16 +37,8 @@ class _LieBase(Attack):
     def run(self, machine: Machine, victim: Process) -> AttackReport:
         _install_lying_read(machine)
         final = self.finish(machine, victim)
-        consumed_forgery = "FILE CORRUPTED" in final
-        detail = f"victim: {final.strip()!r}"
-        if machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        if consumed_forgery:
-            return AttackReport(self.name, victim.cloaked,
-                                self.forgery_outcome, detail)
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.DEFEATED, detail)
+        return self.verdict(machine, victim, final,
+                            detail=f"victim: {final.strip()!r}")
 
 
 class LyingReadProtectedFile(_LieBase):
@@ -54,8 +46,6 @@ class LyingReadProtectedFile(_LieBase):
 
     name = "syscall-lie-protected"
     description = "kernel forges read(2) results; file is protected"
-    #: If forged data IS consumed here, the defence failed outright.
-    forgery_outcome = AttackOutcome.LEAKED
 
 
 class LyingReadUnprotectedFile(_LieBase):
@@ -63,4 +53,4 @@ class LyingReadUnprotectedFile(_LieBase):
 
     name = "syscall-lie-unprotected"
     description = "kernel forges read(2) results; file is unprotected"
-    forgery_outcome = AttackOutcome.OUT_OF_SCOPE
+    silent_outcome = AttackOutcome.OUT_OF_SCOPE

@@ -6,31 +6,13 @@ access must fail; for the uncloaked baseline the victim silently
 computes on attacker-chosen data.
 """
 
-from repro.attacks.base import Attack, AttackOutcome, AttackReport
+from repro.attacks.base import Attack, AttackReport
 from repro.apps.secrets import SECRET
 from repro.guestos.process import Process
 from repro.machine import Machine
 
 
-class _TamperBase(Attack):
-    def _assess(self, machine: Machine, victim: Process,
-                detail: str) -> AttackReport:
-        final = self.finish(machine, victim)
-        detail += f", victim: {final.strip()!r}"
-        if machine.violations:
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DETECTED, detail)
-        if "intact" in final:
-            # Tampering vanished (e.g. page was re-materialised) — the
-            # victim was unaffected.
-            return AttackReport(self.name, victim.cloaked,
-                                AttackOutcome.DEFEATED, detail)
-        # The victim consumed corrupted data without any alarm.
-        return AttackReport(self.name, victim.cloaked,
-                            AttackOutcome.LEAKED, detail)
-
-
-class BitFlip(_TamperBase):
+class BitFlip(Attack):
     name = "tamper-bitflip"
     description = "kernel flips one bit in the victim's secret page"
 
@@ -39,10 +21,12 @@ class BitFlip(_TamperBase):
         current = self.kernel_read(machine, victim, vaddr, 1)
         self.kernel_write(machine, victim, vaddr,
                           bytes([current[0] ^ 0x80]))
-        return self._assess(machine, victim, "flipped 1 bit")
+        final = self.finish(machine, victim)
+        return self.verdict(machine, victim, final,
+                            detail=f"flipped 1 bit, victim: {final.strip()!r}")
 
 
-class Overwrite(_TamperBase):
+class Overwrite(Attack):
     name = "tamper-overwrite"
     description = "kernel overwrites the secret with chosen plaintext"
 
@@ -51,4 +35,7 @@ class Overwrite(_TamperBase):
         forged = b"ATTACKER-CHOSEN-VALUE-0000000000"[: len(SECRET)]
         forged = forged.ljust(len(SECRET), b"#")
         self.kernel_write(machine, victim, vaddr, forged)
-        return self._assess(machine, victim, "overwrote secret")
+        final = self.finish(machine, victim)
+        return self.verdict(
+            machine, victim, final,
+            detail=f"overwrote secret, victim: {final.strip()!r}")

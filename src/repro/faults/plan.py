@@ -2,9 +2,9 @@
 
 A :class:`FaultPlan` is the sole source of nondeterminism-shaped
 behaviour in a fault-injected run, and it is not nondeterministic at
-all: every armed injection site draws from its own
-``random.Random(f"{seed}:{site}")`` substream, and firing is a pure
-function of (seed, arm, opportunity index).  Two machines built from
+all: firing is a pure function of (arm, opportunity index), and every
+armed injection site draws its corruption payloads from its own
+``random.Random(f"{seed}:{site}")`` substream.  Two machines built from
 equal plans observe byte-identical fault sequences, which is what lets
 the differential oracle (:mod:`repro.faults.oracle`) compare a faulty
 run against itself and the per-site tests replay any failure from the
@@ -20,8 +20,7 @@ Vocabulary:
   fire — e.g. one disk read.  Opportunities are only counted while the
   site is armed, so their indices are stable across identical runs.
 * An **arm** selects a site and a firing rule over its opportunity
-  stream: the *nth* opportunity, *every* nth, or an independent
-  per-opportunity *probability* draw.
+  stream: the *nth* opportunity, or *every* nth.
 
 Containment contracts: every site declares the worst outcome the
 cloaking protocol allows it.  ``recover`` sites are absorbed
@@ -170,45 +169,36 @@ class FaultArm:
     """Arms one site with a firing rule.
 
     Exactly one of ``nth`` (fire once, at the 0-based nth
-    opportunity), ``every`` (fire at each multiple), or
-    ``probability`` (independent draw per opportunity from the site's
-    substream) must be given.  ``limit`` caps total fires.
+    opportunity) or ``every`` (fire at each multiple) must be given.
+    ``limit`` caps total fires.
     """
 
-    __slots__ = ("site", "nth", "every", "probability", "limit")
+    __slots__ = ("site", "nth", "every", "limit")
 
     def __init__(self, site: str, nth: Optional[int] = None,
                  every: Optional[int] = None,
-                 probability: Optional[float] = None,
                  limit: Optional[int] = None):
         if site not in INJECTION_POINTS:
             raise ValueError(f"unknown injection site {site!r}")
-        modes = [m for m in (nth, every, probability) if m is not None]
-        if len(modes) != 1:
+        if (nth is None) == (every is None):
             raise ValueError(
-                f"arm for {site!r} needs exactly one of nth/every/probability"
-            )
+                f"arm for {site!r} needs exactly one of nth/every")
         if nth is not None and nth < 0:
             raise ValueError("nth must be >= 0")
         if every is not None and every <= 0:
             raise ValueError("every must be > 0")
-        if probability is not None and not (0.0 < probability <= 1.0):
-            raise ValueError("probability must be in (0, 1]")
         if limit is not None and limit <= 0:
             raise ValueError("limit must be > 0")
         self.site = site
         self.nth = nth
         self.every = every
-        self.probability = probability
         self.limit = limit
 
     def spec(self) -> str:
         if self.nth is not None:
             rule = f"nth={self.nth}"
-        elif self.every is not None:
-            rule = f"every={self.every}"
         else:
-            rule = f"probability={self.probability}"
+            rule = f"every={self.every}"
         if self.limit is not None:
             rule += f",limit={self.limit}"
         return f"{self.site}@{rule}"
@@ -227,8 +217,6 @@ class FaultArm:
             key = key.strip()
             if key in ("nth", "every", "limit"):
                 kwargs[key] = int(value)
-            elif key == "probability":
-                kwargs[key] = float(value)
             else:
                 raise ValueError(f"unknown arm clause {key!r} in {text!r}")
         return cls(site, **kwargs)
@@ -345,10 +333,8 @@ class FaultPlan:
             return False
         if arm.nth is not None:
             fire = index == arm.nth
-        elif arm.every is not None:
-            fire = index % arm.every == arm.every - 1
         else:
-            fire = self.rng(site).random() < arm.probability
+            fire = index % arm.every == arm.every - 1
         if fire:
             self._fires[site] = fired + 1
             self.log.append(FaultDecision(site, index, fired))

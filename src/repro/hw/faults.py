@@ -19,7 +19,6 @@ class AccessKind(enum.Enum):
 
     READ = "read"
     WRITE = "write"
-    EXECUTE = "execute"
 
     @property
     def is_write(self) -> bool:

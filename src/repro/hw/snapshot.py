@@ -60,7 +60,6 @@ restores against.
 import enum
 import io
 import pickle
-import random
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, List
 
@@ -280,14 +279,8 @@ class SnapshotState:
                 continue
             if arm.nth is not None:
                 would_fire = arm.nth < count
-            elif arm.every is not None:
-                would_fire = count >= arm.every
             else:
-                # Replay the decide() draws the boot would have made
-                # on this arm's substream, without touching the plan.
-                probe = random.Random(f"{plan.seed}:{site}")
-                would_fire = any(probe.random() < arm.probability
-                                 for _ in range(count))
+                would_fire = count >= arm.every
             if would_fire:
                 raise SnapshotUnusable(
                     f"arm {arm.spec()} would have fired within the captured "
@@ -296,21 +289,17 @@ class SnapshotState:
     def _seed_plan(self, plan) -> None:
         """Fast-forward ``plan`` over the captured boot window.
 
-        After this, the plan's opportunity counters and probability
-        substreams sit exactly where a fresh boot under the same plan
-        would have left them (``_check_plan`` proved no arm fires in
-        the window, so no payload draws are owed).
+        After this, the plan's opportunity counters sit exactly where a
+        fresh boot under the same plan would have left them
+        (``_check_plan`` proved no arm fires in the window, so no
+        payload draws are owed and the substreams are untouched).
         """
-        for site, arm in plan._arms.items():
+        for site in plan._arms:
             count = self.boot_opportunities.get(site, 0)
             if count == 0:
                 continue
             plan._opportunities[site] = \
                 plan._opportunities.get(site, 0) + count
-            if arm.probability is not None:
-                rng = plan.rng(site)
-                for _ in range(count):
-                    rng.random()
 
 
 def capture(machine) -> SnapshotState:

@@ -37,7 +37,7 @@ import multiprocessing
 import os
 import queue as queue_mod
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.hw import snapshot as snapshot_mod
 from repro.machine import Machine
@@ -54,6 +54,10 @@ from repro.serve.ring import DEFAULT_VNODES, HashRing
 
 #: Worker poll interval (seconds) while awaiting results.
 _POLL = 0.05
+#: Parent-side watchdog: give up on unresponsive workers after this
+#: many wall seconds (counted in poll ticks, never read from a clock)
+#: and mark their shards dead.
+_WALL_BUDGET = 120.0
 
 
 @dataclass(frozen=True)
@@ -63,17 +67,12 @@ class ClusterConfig:
     spec: LoadSpec = field(default_factory=LoadSpec)
     shards: int = 4
     cloaked: bool = False
-    vnodes: int = DEFAULT_VNODES
     #: Max concurrent worker processes (0 = one per shard).
     workers: int = 0
     #: Run every shard in this process (no forking).
     inline: bool = False
     #: Shards whose worker dies before serving (failure injection).
     kill_shards: Tuple[int, ...] = ()
-    #: Parent-side watchdog: give up on unresponsive workers after
-    #: this many wall seconds (counted in poll ticks, never read from
-    #: a clock) and mark their shards dead.
-    wall_budget: float = 120.0
     attach_metrics: bool = True
 
     def validate(self) -> None:
@@ -97,7 +96,7 @@ def plan_shards(config: ClusterConfig) -> Tuple[HashRing,
     shard's sub-schedule keeps the global arrival offsets, so offered
     load per shard reflects the routing, not a renumbering.
     """
-    ring = HashRing(range(config.shards), config.vnodes)
+    ring = HashRing(range(config.shards))
     per_shard: Dict[int, List[Row]] = {s: [] for s in range(config.shards)}
     for row in build_schedule(config.spec):
         per_shard[ring.lookup(row[3])].append(row)
@@ -176,7 +175,7 @@ def _run_forked(config: ClusterConfig,
     results: Dict[int, Dict] = {}
     width = config.workers if config.workers > 0 else config.shards
     shard_ids = sorted(per_shard)
-    budget_polls = max(1, int(config.wall_budget / _POLL))
+    budget_polls = max(1, int(_WALL_BUDGET / _POLL))
     for start in range(0, len(shard_ids), width):
         wave = shard_ids[start:start + width]
         # A fresh queue per wave: terminating a worker can leave the
@@ -271,7 +270,7 @@ def merge_report(config: ClusterConfig, results: Dict[int, Dict],
         "arrival": spec.arrival,
         "seed": spec.seed,
         "shards": config.shards,
-        "vnodes": config.vnodes,
+        "vnodes": DEFAULT_VNODES,
         "degraded": bool(dead),
         "dead_shards": sorted(dead),
         "rerouted_requests": rerouted,

@@ -20,8 +20,6 @@ class TestFaultArm:
             FaultArm(SITE_SWAPIN_CORRUPT)
         with pytest.raises(ValueError):
             FaultArm(SITE_SWAPIN_CORRUPT, nth=0, every=2)
-        with pytest.raises(ValueError):
-            FaultArm(SITE_SWAPIN_CORRUPT, every=1, probability=0.5)
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError):
@@ -53,16 +51,6 @@ class TestDecide:
         assert fired == [False, True, False, True, False, False, False, False]
         assert plan.total_fires() == 2
 
-    def test_probability_deterministic_per_seed(self):
-        def outcomes(seed):
-            plan = FaultPlan(seed=seed, arms=(
-                FaultArm(SITE_SWAPIN_CORRUPT, probability=0.5),))
-            return [plan.decide(SITE_SWAPIN_CORRUPT) for __ in range(64)]
-
-        assert outcomes(11) == outcomes(11)
-        assert outcomes(11) != outcomes(12)
-        assert any(outcomes(11)) and not all(outcomes(11))
-
     def test_decisions_are_logged(self):
         plan = FaultPlan(seed=0, arms=(FaultArm(SITE_SWAPIN_CORRUPT, every=2),))
         for __ in range(4):
@@ -73,17 +61,23 @@ class TestDecide:
         assert all(d.site == SITE_SWAPIN_CORRUPT for d in log)
 
     def test_site_substreams_independent(self):
-        """Arming a second site must not perturb the first's stream."""
+        """Payload draws at a second site must not perturb the first's
+        substream, and substreams differ per seed."""
         solo = FaultPlan(seed=5, arms=(
-            FaultArm(SITE_SWAPIN_CORRUPT, probability=0.3),))
+            FaultArm(SITE_SWAPIN_CORRUPT, every=1),))
         both = FaultPlan(seed=5, arms=(
-            FaultArm(SITE_SWAPIN_CORRUPT, probability=0.3),
-            FaultArm(SITE_DISK_READ_BITFLIP, probability=0.3),
+            FaultArm(SITE_SWAPIN_CORRUPT, every=1),
+            FaultArm(SITE_DISK_READ_BITFLIP, every=1),
         ))
         for __ in range(32):
-            both.decide(SITE_DISK_READ_BITFLIP)
-        assert ([solo.decide(SITE_SWAPIN_CORRUPT) for __ in range(32)]
-                == [both.decide(SITE_SWAPIN_CORRUPT) for __ in range(32)])
+            both.rng(SITE_DISK_READ_BITFLIP).random()
+        draws = [solo.rng(SITE_SWAPIN_CORRUPT).random() for __ in range(32)]
+        assert draws == [both.rng(SITE_SWAPIN_CORRUPT).random()
+                         for __ in range(32)]
+        other_seed = FaultPlan(seed=6, arms=(
+            FaultArm(SITE_SWAPIN_CORRUPT, every=1),))
+        assert draws != [other_seed.rng(SITE_SWAPIN_CORRUPT).random()
+                         for __ in range(32)]
 
 
 class TestRegistry:
@@ -107,8 +101,7 @@ class TestRegistry:
 class TestParse:
     def test_arm_spec_round_trips(self):
         for arm in (FaultArm(SITE_DISK_READ_BITFLIP, nth=3),
-                    FaultArm(SITE_TLB_FLUSH_LOST, every=2, limit=5),
-                    FaultArm(SITE_SWAPIN_CORRUPT, probability=0.25)):
+                    FaultArm(SITE_TLB_FLUSH_LOST, every=2, limit=5)):
             again = FaultArm.parse(arm.spec())
             assert again.spec() == arm.spec()
 

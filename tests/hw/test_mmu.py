@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.cycles import CycleAccount
-from repro.hw.faults import AccessKind, PageFault, PageFaultReason
+from repro.hw.faults import PageFault, PageFaultReason
 from repro.hw.mmu import MMU, MODE_KERNEL, MODE_USER, SYSTEM_VIEW, TranslationAuthority
 from repro.hw.params import CostTable, PAGE_SIZE
 from repro.hw.phys import PhysicalMemory
@@ -87,8 +87,12 @@ class TestTranslation:
         assert mmu.read(base, 6) == b"abcdef"
 
     def test_translate_returns_physical_address(self, machine):
-        __, mmu, __, __ = machine
-        assert mmu.translate(0x10 << 12 | 0xAB, AccessKind.READ) == (4 << 12) | 0xAB
+        """vpn 0x10 maps to frame 4: the page offset carries through."""
+        phys, mmu, __, __ = machine
+        phys.write(4, 0xAB, b"Z")
+        assert mmu.read(0x10 << 12 | 0xAB, 1) == b"Z"
+        mmu.write(0x10 << 12 | 0xAC, b"Q")
+        assert phys.read(4, 0xAC, 1) == b"Q"
 
 
 class TestTLBInteraction:
@@ -119,10 +123,12 @@ class TestTLBInteraction:
         phys, mmu, authority, __ = machine
         mmu.read(0x10 << 12, 4)
         authority.mappings[(1, 0x10)] = (9, True, True)
+        phys.write(4, 0, b"old")
+        phys.write(9, 0, b"new")
         # Stale until invalidated — TLBs are not coherent.
-        assert mmu.translate(0x10 << 12, AccessKind.READ) == 4 << 12
+        assert mmu.read(0x10 << 12, 3) == b"old"
         mmu.invalidate_page(0x10)
-        assert mmu.translate(0x10 << 12, AccessKind.READ) == 9 << 12
+        assert mmu.read(0x10 << 12, 3) == b"new"
 
 
 class TestCycleCharging:
@@ -167,11 +173,6 @@ class TestZeroLengthAccess:
         assert authority.fills == 0
         assert cycles.get("mem") == CostTable().mem_access
 
-    def test_zero_fetch_skips_translation(self, machine):
-        __, mmu, authority, __ = machine
-        assert mmu.fetch(0x99 << 12, 0) == b""
-        assert authority.fills == 0
-
     def test_negative_read_rejected(self, machine):
         __, mmu, __, __ = machine
         with pytest.raises(ValueError):
@@ -182,7 +183,7 @@ class TestZeroLengthAccess:
 
 
 class TestSinglePageFastPath:
-    """The single-page read/write/fetch shortcut must agree with the
+    """The single-page read/write shortcut must agree with the
     general splitting path on boundaries."""
 
     def test_exact_page_read(self, machine):
